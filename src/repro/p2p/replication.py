@@ -38,6 +38,7 @@ construction.  It is now a real subsystem (see ``docs/REPLICATION.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.axml.document import AXMLDocument
@@ -47,6 +48,16 @@ from repro.p2p.network import SimNetwork
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
 from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
+
+
+@lru_cache(maxsize=32)
+def _decode_frame(text: str) -> LogEntry:
+    """Decode a shipped frame once for every replica it reaches.
+
+    Frames are immutable texts and inbox entries are only read, so the
+    replicas of one source share the decoded entry.
+    """
+    return entry_from_xml(text)
 
 
 @dataclass
@@ -324,7 +335,7 @@ class ReplicationManager:
     def on_ship(self, replica_peer: str, message: WalShipMessage) -> None:
         """A replica received a batch of shipped frames."""
         channel = self._channel(message.from_peer, replica_peer)
-        channel.inbox.extend(entry_from_xml(x) for x in message.entries_xml)
+        channel.inbox.extend(_decode_frame(x) for x in message.entries_xml)
         if replica_peer in self._lagged:
             return  # frames accumulate; no apply, no ack
         self._apply_inbox(channel)

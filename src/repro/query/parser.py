@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 from repro.errors import QuerySyntaxError
@@ -226,6 +227,13 @@ def iter_comparisons(condition: Optional[Condition]):
 
 def parse_action(xml_text: str) -> UpdateAction:
     """Parse an ``<action type="…">`` document (§3.1) to an UpdateAction."""
+    return _parse_action_text(xml_text)
+
+
+@lru_cache(maxsize=64)
+def _parse_action_text(xml_text: str) -> UpdateAction:
+    # One parse per distinct text: the primary and every replica that
+    # replays the same logged action share it (UpdateAction is frozen).
     document = parse_document(xml_text, name="action")
     return action_from_element(document.root)
 

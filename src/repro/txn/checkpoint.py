@@ -48,6 +48,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.errors import XmlParseError
 from repro.txn.wal import LogEntry, entry_bytes, entry_from_xml, entry_to_xml
 
 CKPT_MAGIC = "AXMLCKPT"
@@ -209,7 +210,7 @@ class CheckpointStore:
                 else:
                     return None
                 pos = end + 1
-        except (ValueError, IndexError, KeyError):
+        except (ValueError, IndexError, KeyError, XmlParseError):
             return None
         checkpoint.entries.sort(key=lambda e: e.seq)
         return checkpoint

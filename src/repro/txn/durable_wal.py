@@ -500,7 +500,10 @@ class DurableWal:
         end = start + length
         if end + 1 > len(blob) or blob[end:end + 1] != b"\n":
             return None
-        return header[0], blob[start:end].decode("utf-8"), end + 1
+        try:
+            return header[0], blob[start:end].decode("utf-8"), end + 1
+        except UnicodeDecodeError:
+            return None
 
     # -- restart ----------------------------------------------------------
 

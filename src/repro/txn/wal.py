@@ -17,9 +17,11 @@ restart and compensate from it (``AXMLPeer.rejoin``).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Protocol, Sequence
 
+from repro.errors import XmlParseError
 from repro.query.update import ChangeRecord
 
 
@@ -201,14 +203,11 @@ class OperationLog:
         """
         from repro.xmlstore.parser import parse_document
 
-        doc = parse_document(text, name="log")
-        entries = [
-            _entry_from_element(entry_el)
-            for entry_el in doc.root.find_children("entry")
-        ]
-        return cls.from_entries(
-            doc.root.attributes.get("peer", ""), entries
-        )
+        root = parse_document(text, name="log").root
+        with _frame_errors():
+            _expect(root, "log", _LOG_ATTRS, ("entry",))
+            entries = [_entry_from_element(entry_el) for entry_el in root.children]
+        return cls.from_entries(root.attributes["peer"], entries)
 
     @classmethod
     def from_entries(
@@ -243,7 +242,7 @@ def _entry_attrs(entry: LogEntry) -> dict:
         "txn": entry.txn_id,
         "kind": entry.kind,
         "document": entry.document_name,
-        "timestamp": repr(entry.timestamp),
+        "timestamp": repr(float(entry.timestamp)),
     }
 
 
@@ -253,20 +252,68 @@ def _fill_entry_element(entry_el, entry: LogEntry) -> None:
         _record_to_element(entry_el, record)
 
 
+# Decoding is strict: a frame is accepted only if nothing in it would be
+# dropped or re-spelled by a decode/encode round trip - exactly the
+# attributes the encoder writes, no text or element the decoder would
+# skip, and numbers and node ids in the encoder's own spelling.  Anything
+# else raises XmlParseError, the codec's one rejection.
+
+_LOG_ATTRS = frozenset({"peer"})
+_ENTRY_ATTRS = frozenset({"seq", "txn", "kind", "document", "timestamp"})
+_RECORD_ATTRS = {
+    "delete": frozenset({"kind", "node", "parent", "index", "before", "after"}),
+    "insert": frozenset({"kind", "node", "parent", "index"}),
+    "replace": frozenset({"kind"}),
+}
+_RECORD_CHILDREN = {"delete": ("snapshot",), "insert": ("data",), "replace": ("record",)}
+
+
+@contextmanager
+def _frame_errors() -> Iterator[None]:
+    """Report a well-formed document that is not a valid frame."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        raise XmlParseError(f"malformed log entry frame: {exc}") from None
+
+
+def _expect(element, name: str, attributes: frozenset, children=None) -> None:
+    """Check *element*'s name and attribute set; ``children=None`` allows
+    only text children, otherwise only elements with those names."""
+    from repro.xmlstore.nodes import Element
+
+    if element.name.text != name or element.attributes.keys() != attributes:
+        raise ValueError(f"unexpected <{element.name.text}> element or attributes")
+    for child in element.children:
+        if children is None:
+            allowed = not isinstance(child, Element)
+        else:
+            allowed = isinstance(child, Element) and child.name.text in children
+        if not allowed:
+            raise ValueError(f"unexpected content in <{name}>")
+
+
+def _exact(parse, text: str):
+    """``parse(text)``, rejecting any spelling the encoder would not write."""
+    value = parse(text)
+    if repr(value) != text:
+        raise ValueError(f"non-canonical value {text!r}")
+    return value
+
+
 def _entry_from_element(entry_el) -> LogEntry:
-    forward_el = entry_el.first_child("forward")
-    records = [
-        _record_from_element(rec_el)
-        for rec_el in entry_el.find_children("record")
-    ]
+    _expect(entry_el, "entry", _ENTRY_ATTRS, ("forward", "record"))
+    forward_el, *record_els = entry_el.children
+    _expect(forward_el, "forward", frozenset())
+    attributes = entry_el.attributes
     return LogEntry(
-        seq=int(entry_el.attributes["seq"]),
-        txn_id=entry_el.attributes["txn"],
-        kind=entry_el.attributes["kind"],
-        document_name=entry_el.attributes["document"],
-        action_xml=forward_el.text_content() if forward_el is not None else "",
-        records=records,
-        timestamp=float(entry_el.attributes.get("timestamp", "0")),
+        seq=_exact(int, attributes["seq"]),
+        txn_id=attributes["txn"],
+        kind=attributes["kind"],
+        document_name=attributes["document"],
+        action_xml=forward_el.text_content(),
+        records=[_record_from_element(rec_el) for rec_el in record_els],
+        timestamp=_exact(float, attributes["timestamp"]),
     )
 
 
@@ -300,11 +347,16 @@ def entry_to_xml(entry: LogEntry) -> str:
 
 
 def entry_from_xml(text: str) -> LogEntry:
-    """Decode one entry serialized by :func:`entry_to_xml`."""
+    """Decode one entry serialized by :func:`entry_to_xml`.
+
+    Raises :class:`~repro.errors.XmlParseError` for malformed XML and for
+    any frame the encoder could not have written.
+    """
     from repro.xmlstore.parser import parse_document
 
     doc = parse_document(text, name="entry")
-    return _entry_from_element(doc.root)
+    with _frame_errors():
+        return _entry_from_element(doc.root)
 
 
 def entry_bytes(entry: LogEntry) -> int:
@@ -375,35 +427,27 @@ def _record_from_element(element) -> ChangeRecord:
     from repro.xmlstore.nodes import NodeId
 
     kind = element.attributes.get("kind", "")
-    if kind == "delete":
-        snapshot_el = element.first_child("snapshot")
-        return DeleteRecord(
-            node_id=NodeId.parse(element.attributes["node"]),
-            parent_id=NodeId.parse(element.attributes["parent"]),
-            index=int(element.attributes["index"]),
-            before_id=(
-                NodeId.parse(element.attributes["before"])
-                if element.attributes.get("before")
-                else None
-            ),
-            after_id=(
-                NodeId.parse(element.attributes["after"])
-                if element.attributes.get("after")
-                else None
-            ),
-            snapshot_xml=snapshot_el.text_content() if snapshot_el is not None else "",
-        )
-    if kind == "insert":
-        data_el = element.first_child("data")
-        return InsertRecord(
-            node_id=NodeId.parse(element.attributes["node"]),
-            parent_id=NodeId.parse(element.attributes["parent"]),
-            index=int(element.attributes["index"]),
-            inserted_xml=data_el.text_content() if data_el is not None else "",
-        )
+    if kind not in _RECORD_ATTRS:
+        raise ValueError(f"unknown record kind {kind!r}")
+    _expect(element, "record", _RECORD_ATTRS[kind], _RECORD_CHILDREN[kind])
     if kind == "replace":
-        children = element.find_children("record")
-        deleted = _record_from_element(children[0])
-        inserted = [_record_from_element(child) for child in children[1:]]
+        deleted, *inserted = [_record_from_element(c) for c in element.children]
         return ReplaceRecord(deleted, inserted)
-    raise ValueError(f"unknown record kind {kind!r}")
+    (payload_el,) = element.children
+    _expect(payload_el, _RECORD_CHILDREN[kind][0], frozenset())
+    attributes = element.attributes
+    node_id = _exact(NodeId.parse, attributes["node"])
+    parent_id = _exact(NodeId.parse, attributes["parent"])
+    index = _exact(int, attributes["index"])
+    if kind == "insert":
+        return InsertRecord(
+            node_id=node_id, parent_id=parent_id, index=index,
+            inserted_xml=payload_el.text_content(),
+        )
+    before, after = attributes["before"], attributes["after"]
+    return DeleteRecord(
+        node_id=node_id, parent_id=parent_id, index=index,
+        before_id=_exact(NodeId.parse, before) if before else None,
+        after_id=_exact(NodeId.parse, after) if after else None,
+        snapshot_xml=payload_el.text_content(),
+    )

@@ -1,242 +1,118 @@
-"""A from-scratch XML parser producing :mod:`repro.xmlstore.nodes` trees.
+"""XML parsing into :mod:`repro.xmlstore.nodes` trees.
 
-The parser is a hand-written single-pass recursive-descent parser over a
-character cursor.  It supports the XML subset the paper's documents use:
+A small tree builder on the stdlib's ``xml.parsers.expat``.  The tree
+shape is part of the store's contract (it fixes node-id allocation
+order, and with it summaries and digests):
 
-* the ``<?xml … ?>`` prolog (ignored),
-* elements with prefixed names and single/double-quoted attributes,
-* character data with the five predefined entities plus ``&#NNN;`` /
-  ``&#xHHH;`` character references,
-* comments ``<!-- … -->`` and CDATA sections,
-* processing instructions (skipped).
+* text is whitespace-stripped and whitespace-only text is dropped;
+* comments, processing instructions and CDATA boundaries split text,
+  and CDATA content is taken literally;
+* the ``<?xml … ?>`` prolog and a bare ``<!DOCTYPE name>`` are skipped;
+* names are restricted to the ASCII subset of the XML ``Name``
+  production (see :func:`repro.xmlstore.names.is_valid_name`).
 
-It does *not* implement DTDs — the paper never uses them and they would
-add no transactional behaviour.
+Expat is a conforming parser: attribute values have tab, newline and CR
+normalized to a space, CR and CRLF in text become LF, and a ``<`` inside
+an attribute value, a NUL or any other character XML does not allow is
+rejected.  The serializer writes tab, newline and CR as character
+references where the parser would normalize them, so trees still
+round-trip.  The XML declaration must open the text, a fragment
+(element content) takes no prolog at all, and a DOCTYPE carrying an
+external id or an internal subset is rejected: entity and attribute-list
+declarations would change the tree.  Every failure is an
+:class:`~repro.errors.XmlParseError` with a 1-based line and column.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
+from xml.parsers import expat
 
 from repro.errors import XmlParseError
-from repro.xmlstore.names import is_valid_name
-from repro.xmlstore.nodes import Document, Element, Text
+from repro.xmlstore.nodes import Document, Element
 
-_ENTITIES = {
-    "amp": "&",
-    "lt": "<",
-    "gt": ">",
-    "quot": '"',
-    "apos": "'",
-}
-
-_WHITESPACE = " \t\r\n"
+_HOLDER = "__fragment__"
+_OPEN, _CLOSE = f"<{_HOLDER}>", f"</{_HOLDER}>"
 
 
-class _Cursor:
-    """Character cursor with line/column tracking for error messages."""
+def _build(text: str, document: Document, holder: Optional[Element]) -> None:
+    """Parse *text* into *document*'s root, or as children of *holder*.
 
-    __slots__ = ("text", "pos", "line", "column")
+    Handlers report a broken tree-shape rule as ``ValueError``; they do
+    not reference the parser, so a parse leaves no reference cycle for
+    the garbage collector.
+    """
+    stack: List[Element] = []
+    pending: List[str] = []
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+    def flush() -> None:
+        if pending:
+            raw = "".join(pending)
+            pending.clear()
+            if stack[-1] is holder:
+                if raw.strip(" \t\n"):
+                    raise ValueError("text outside an element")
+            elif raw.strip():
+                stack[-1].new_text(raw.strip())
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, length: int = 1) -> str:
-        return self.text[self.pos : self.pos + length]
-
-    def advance(self, count: int = 1) -> str:
-        chunk = self.text[self.pos : self.pos + count]
-        for ch in chunk:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-        return chunk
-
-    def expect(self, token: str) -> None:
-        if not self.text.startswith(token, self.pos):
-            raise XmlParseError(
-                f"expected {token!r}, found {self.peek(len(token))!r}",
-                self.line,
-                self.column,
-            )
-        self.advance(len(token))
-
-    def skip_whitespace(self) -> None:
-        while not self.at_end() and self.text[self.pos] in _WHITESPACE:
-            self.advance()
-
-    def take_until(self, token: str) -> str:
-        end = self.text.find(token, self.pos)
-        if end < 0:
-            raise XmlParseError(
-                f"unterminated construct: expected {token!r}", self.line, self.column
-            )
-        chunk = self.text[self.pos : end]
-        self.advance(end - self.pos)
-        return chunk
-
-    def error(self, message: str) -> XmlParseError:
-        return XmlParseError(message, self.line, self.column)
-
-
-def _decode_entities(raw: str, cursor: _Cursor) -> str:
-    """Expand entity and character references in *raw*."""
-    if "&" not in raw:
-        return raw
-    out: List[str] = []
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "&":
-            out.append(ch)
-            i += 1
-            continue
-        end = raw.find(";", i + 1)
-        if end < 0:
-            raise cursor.error("unterminated entity reference")
-        name = raw[i + 1 : end]
-        if name.startswith("#x") or name.startswith("#X"):
-            try:
-                out.append(chr(int(name[2:], 16)))
-            except ValueError:
-                raise cursor.error(f"bad character reference &{name};")
-        elif name.startswith("#"):
-            try:
-                out.append(chr(int(name[1:])))
-            except ValueError:
-                raise cursor.error(f"bad character reference &{name};")
-        elif name in _ENTITIES:
-            out.append(_ENTITIES[name])
-        else:
-            raise cursor.error(f"unknown entity &{name};")
-        i = end + 1
-    return "".join(out)
-
-
-def _parse_name(cursor: _Cursor) -> str:
-    start = cursor.pos
-    while not cursor.at_end() and cursor.text[cursor.pos] not in " \t\r\n=/><'\"":
-        cursor.advance()
-    name = cursor.text[start : cursor.pos]
-    if not is_valid_name(name.replace(":", "_", 1) if ":" in name else name):
-        raise cursor.error(f"invalid XML name {name!r}")
-    return name
-
-
-def _parse_attributes(cursor: _Cursor) -> Dict[str, str]:
-    attributes: Dict[str, str] = {}
-    while True:
-        cursor.skip_whitespace()
-        nxt = cursor.peek()
-        if nxt in (">", "/", "?") or cursor.at_end():
-            return attributes
-        name = _parse_name(cursor)
-        cursor.skip_whitespace()
-        cursor.expect("=")
-        cursor.skip_whitespace()
-        quote = cursor.peek()
-        if quote not in ("'", '"'):
-            raise cursor.error("attribute value must be quoted")
-        cursor.advance()
-        value = cursor.take_until(quote)
-        cursor.advance()  # closing quote
-        if name in attributes:
-            raise cursor.error(f"duplicate attribute {name!r}")
-        attributes[name] = _decode_entities(value, cursor)
-
-
-def _skip_misc(cursor: _Cursor) -> None:
-    """Skip whitespace, comments, PIs and the prolog between elements."""
-    while True:
-        cursor.skip_whitespace()
-        if cursor.peek(4) == "<!--":
-            cursor.advance(4)
-            cursor.take_until("-->")
-            cursor.advance(3)
-        elif cursor.peek(2) == "<?":
-            cursor.advance(2)
-            cursor.take_until("?>")
-            cursor.advance(2)
-        elif cursor.peek(9) == "<!DOCTYPE":
-            # Tolerate (and skip) a simple internal-subset-free DOCTYPE.
-            cursor.take_until(">")
-            cursor.advance(1)
-        else:
+    def start(name: str, attributes: dict) -> None:
+        flush()
+        if not stack and holder is not None:
+            stack.append(holder)
             return
+        if not name.isascii() or not "".join(attributes).isascii():
+            raise ValueError(f"non-ASCII XML name in <{name}>")
+        if stack:
+            stack.append(stack[-1].new_element(name, attributes))
+        else:
+            stack.append(document.create_root(name))
+            stack[-1].attributes.update(attributes)
 
+    def end(name: str) -> None:
+        flush()
+        stack.pop()
 
-def _parse_element(cursor: _Cursor, document: Document, parent: Optional[Element]) -> Element:
-    cursor.expect("<")
-    name = _parse_name(cursor)
-    attributes = _parse_attributes(cursor)
-    if parent is None:
-        element = document.create_root(name)
-        element.attributes.update(attributes)
+    def start_cdata() -> None:
+        if stack[-1] is holder:
+            raise ValueError("CDATA section outside an element")
+        flush()
+
+    def doctype(name, system_id, public_id, has_internal_subset) -> None:
+        if system_id or public_id or has_internal_subset:
+            raise ValueError("only a bare <!DOCTYPE name> is supported")
+
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.CharacterDataHandler = pending.append
+    parser.CommentHandler = lambda data: flush()
+    parser.ProcessingInstructionHandler = lambda target, data: flush()
+    parser.StartCdataSectionHandler = start_cdata
+    parser.EndCdataSectionHandler = flush
+    parser.StartDoctypeDeclHandler = doctype
+    shift = len(_OPEN) if holder is not None else 0
+    try:
+        if holder is None:
+            parser.Parse(text, True)
+        else:
+            parser.Parse(_OPEN, False)
+            parser.Parse(text, False)
+            parser.Parse(_CLOSE, True)
+    except expat.ExpatError as exc:
+        message = expat.errors.messages[exc.code]
+        line, column = exc.lineno, exc.offset + 1
+    except UnicodeEncodeError as exc:
+        message = "character not encodable as UTF-8"
+        before = text[: exc.start]
+        line, column = before.count("\n") + 1, exc.start - before.rfind("\n")
+        shift = 0
+    except ValueError as exc:
+        message = str(exc)
+        line, column = parser.CurrentLineNumber, parser.CurrentColumnNumber + 1
     else:
-        element = parent.new_element(name, attributes)
-    cursor.skip_whitespace()
-    if cursor.peek(2) == "/>":
-        cursor.advance(2)
-        return element
-    cursor.expect(">")
-    _parse_content(cursor, document, element)
-    cursor.expect("</")
-    closing = _parse_name(cursor)
-    if closing != name:
-        raise cursor.error(f"mismatched closing tag </{closing}> for <{name}>")
-    cursor.skip_whitespace()
-    cursor.expect(">")
-    return element
-
-
-def _parse_content(cursor: _Cursor, document: Document, parent: Element) -> None:
-    buffer: List[str] = []
-
-    def flush_text() -> None:
-        if buffer:
-            text = _decode_entities("".join(buffer), cursor)
-            if text.strip():
-                parent.new_text(text.strip())
-            buffer.clear()
-
-    while True:
-        if cursor.at_end():
-            raise cursor.error(f"unexpected end of input inside <{parent.name.text}>")
-        if cursor.peek(2) == "</":
-            flush_text()
-            return
-        if cursor.peek(4) == "<!--":
-            flush_text()
-            cursor.advance(4)
-            cursor.take_until("-->")
-            cursor.advance(3)
-        elif cursor.peek(9) == "<![CDATA[":
-            # CDATA content is literal: no entity decoding.
-            flush_text()
-            cursor.advance(9)
-            raw = cursor.take_until("]]>")
-            cursor.advance(3)
-            if raw.strip():
-                parent.new_text(raw.strip())
-        elif cursor.peek(2) == "<?":
-            flush_text()
-            cursor.advance(2)
-            cursor.take_until("?>")
-            cursor.advance(2)
-        elif cursor.peek() == "<":
-            flush_text()
-            _parse_element(cursor, document, parent)
-        else:
-            buffer.append(cursor.advance())
+        return
+    raise XmlParseError(message, line, column - shift if line == 1 else column)
 
 
 def parse_document(text: str, name: str = "") -> Document:
@@ -245,15 +121,8 @@ def parse_document(text: str, name: str = "") -> Document:
     Raises :class:`~repro.errors.XmlParseError` with line/column
     information on malformed input.
     """
-    cursor = _Cursor(text)
     document = Document(name)
-    _skip_misc(cursor)
-    if cursor.at_end():
-        raise cursor.error("document contains no root element")
-    _parse_element(cursor, document, None)
-    _skip_misc(cursor)
-    if not cursor.at_end():
-        raise cursor.error("content after the root element")
+    _build(text, document, None)
     return document
 
 
@@ -262,14 +131,11 @@ def parse_fragment(text: str, document: Document) -> List[Element]:
 
     Used for ``<data>`` payloads of update actions and for service
     results: the fragment's elements are owned by *document* but not yet
-    attached anywhere.
+    attached anywhere.  Text between them other than whitespace is an
+    error.
     """
-    cursor = _Cursor(text)
-    holder = document.create_element("__fragment__")
-    _skip_misc(cursor)
-    while not cursor.at_end():
-        _parse_element(cursor, document, holder)
-        _skip_misc(cursor)
+    holder = document.create_element(_HOLDER)
+    _build(text, document, holder)
     elements = holder.child_elements()
     for element in list(holder.children):
         element.detach()

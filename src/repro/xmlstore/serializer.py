@@ -28,13 +28,31 @@ ID_ATTRIBUTE = "repro:id"
 
 
 def escape_text(value: str) -> str:
-    """Escape character data."""
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Escape character data.
+
+    CR is written as a character reference: a conforming parser turns a
+    raw CR (and CRLF) into LF.
+    """
+    return (
+        value.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
 
 
 def escape_attribute(value: str) -> str:
-    """Escape an attribute value for double-quoted serialization."""
-    return escape_text(value).replace('"', "&quot;")
+    """Escape an attribute value for double-quoted serialization.
+
+    Tab and newline are written as character references too: a
+    conforming parser normalizes raw ones in attribute values to a space.
+    """
+    return (
+        escape_text(value)
+        .replace('"', "&quot;")
+        .replace("\t", "&#9;")
+        .replace("\n", "&#10;")
+    )
 
 
 def _open_tag(element: Element, include_ids: bool) -> str:

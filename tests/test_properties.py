@@ -32,17 +32,19 @@ from repro.xmlstore.serializer import canonical, serialize
 _name = st.text(
     alphabet=stringlib.ascii_lowercase, min_size=1, max_size=6
 )
+# Tab, newline and CR are in the alphabet: a conforming parser
+# normalizes them (to a space in attribute values, CRLF to LF in text),
+# so the serializer must escape them for trees to round-trip.
+_alphabet = stringlib.ascii_letters + stringlib.digits + " \t\n\r&<>'\""
 # The store is whitespace-normalizing (the parser trims surrounding
 # whitespace of text nodes), so generated text is pre-stripped.
 _text_value = (
-    st.text(
-        alphabet=stringlib.ascii_letters + stringlib.digits + " &<>'\"",
-        min_size=1,
-        max_size=12,
-    )
+    st.text(alphabet=_alphabet, min_size=1, max_size=12)
     .map(str.strip)
     .filter(bool)
 )
+# Attribute values are kept verbatim, surrounding whitespace included.
+_attribute_value = st.text(alphabet=_alphabet, max_size=12)
 
 
 @st.composite
@@ -57,7 +59,7 @@ def xml_trees(draw, max_depth=3):
             else:
                 child = parent.new_element(draw(_name))
                 for attr in draw(st.lists(_name, max_size=2, unique=True)):
-                    child.attributes[attr] = draw(_text_value)
+                    child.attributes[attr] = draw(_attribute_value)
                 if depth < max_depth:
                     build(child, depth + 1)
 
