@@ -18,8 +18,8 @@ notification messages.
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.txn.disconnection import run_case_c_child_disconnection
 
 from _util import publish
@@ -34,23 +34,23 @@ BUSHY = {
 
 
 def run_point(scope: str, units_per_peer: int = 10):
-    scenario = build_topology(BUSHY, super_peers=("AP1",), chain_scope=scope)
-    txn, _ = run_root_transaction(scenario)
+    cluster = Cluster.from_topology(BUSHY, super_peers=("AP1",), chain_scope=scope)
+    txn, _ = cluster.run_topology()
     # Every leaf/branch holds pending continuous work; the txn is doomed
     # once AP3 dies, whether or not a peer has been told.
-    workers = [p for p in scenario.peers if p not in ("AP1", "AP3")]
+    workers = [p for p in cluster.peers if p not in ("AP1", "AP3")]
     for peer_id in workers:
-        peer = scenario.peer(peer_id)
+        peer = cluster.peer(peer_id)
         peer.known_doomed.add(txn.txn_id)  # ground truth for waste metering
         peer.add_pending_work(txn.txn_id, units=units_per_peer, unit_duration=0.05)
-    scenario.network.disconnect("AP3")
-    run_case_c_child_disconnection(scenario.peer("AP1"), txn.txn_id)
-    scenario.network.events.run_until(scenario.network.clock.now + 10.0)
+    cluster.network.disconnect("AP3")
+    run_case_c_child_disconnection(cluster.peer("AP1"), txn.txn_id)
+    cluster.network.events.run_until(cluster.network.clock.now + 10.0)
     return {
         "scope": scope,
-        "informed": scenario.metrics.get("descendants_informed"),
-        "wasted_units": scenario.metrics.get("work_units_wasted"),
-        "notices": scenario.metrics.get("messages.disconnect_notice"),
+        "informed": cluster.metrics.get("descendants_informed"),
+        "wasted_units": cluster.metrics.get("work_units_wasted"),
+        "notices": cluster.metrics.get("messages.disconnect_notice"),
     }
 
 

@@ -10,11 +10,12 @@ compensation.
 
 import pytest
 
+from repro.api import Cluster
 from repro.query.parser import parse_action
 from repro.query.update import apply_action
 from repro.sim.harness import ExperimentTable
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import QUERY_A, QUERY_B, build_atplist_scenario
+from repro.sim.scenarios import QUERY_A, QUERY_B
 from repro.sim.workload import generate_catalogue, generate_operation
 from repro.txn.compensation import compensating_actions_for
 from repro.xmlstore.path import TraversalMeter
@@ -40,8 +41,8 @@ PAPER_OPS = [
 
 
 def run_paper_op(label, action_xml):
-    scenario = build_atplist_scenario()
-    peer = scenario.peer("AP1")
+    cluster = Cluster.atplist()
+    peer = cluster.peer("AP1")
     document = peer.get_axml_document("ATPList")
     pre = canonical(document.document)
     txn = peer.begin_transaction()

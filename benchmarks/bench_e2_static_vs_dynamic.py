@@ -20,14 +20,15 @@ from repro.sim.harness import ExperimentTable
 from repro.sim.rng import SeededRng
 from repro.sim.workload import OperationMix, generate_catalogue, generate_operation
 from repro.txn.compensation import compensate_records, compensating_actions_for
-from repro.axml.materialize import InvocationOutcome, MaterializationEngine
+from repro.axml.materialize import MaterializationEngine
+from repro.outcome import Outcome
 from repro.xmlstore.serializer import canonical
 
 from _util import publish
 
 
 def _stock_resolver(call, params):
-    return InvocationOutcome(["<stock>fresh</stock>"])
+    return Outcome(["<stock>fresh</stock>"])
 
 
 def run_point(query_fraction: float, seed: int = 7, operations: int = 60):

@@ -13,10 +13,10 @@ hops regardless of depth.
 
 import pytest
 
+from repro.api import Cluster
 from repro.errors import PeerDisconnected, ServiceFault
 from repro.sim.harness import ExperimentTable, mean
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.sim.workload import generate_invocation_tree, tree_peers
 
 from _util import publish
@@ -36,15 +36,15 @@ def run_one(depth: int, chaining: bool, seed: int):
     victim = pick_victim(topology, rng)
     if victim is None:
         return None
-    scenario = build_topology(topology, super_peers=("AP1",), chaining=chaining)
+    cluster = Cluster.from_topology(topology, super_peers=("AP1",), chaining=chaining)
     # The victim dies while its first child executes — its children hold
     # undeliverable results (§3.3b).
     first_child, first_method = topology[victim][0]
-    scenario.injector.disconnect_peer_during(
+    cluster.injector.disconnect_peer_during(
         victim, first_child, first_method, "after_local_work"
     )
-    run_root_transaction(scenario)
-    metrics = scenario.metrics
+    cluster.run_topology()
+    metrics = cluster.metrics
     return {
         "discarded": metrics.get("invocations_discarded"),
         "redirected": metrics.get("results_redirected"),

@@ -14,8 +14,8 @@ work and compensation cost are strictly below full backward recovery.
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_fig1, run_root_transaction
 from repro.txn.recovery import FaultPolicy
 
 from _util import publish, publish_json
@@ -27,27 +27,27 @@ METRICS_BY_CONFIG = {}
 
 def run_config(handler_at: str):
     """One Fig. 1 run: AP5 faults after its work; optional handler."""
-    scenario = build_fig1()
-    scenario.injector.fault_service(
+    cluster = Cluster.fig1()
+    cluster.injector.fault_service(
         "AP5", "S5", "Crash", times=1, point="after_execute"
     )
     if handler_at:
-        scenario.peer(handler_at).set_fault_policy(
+        cluster.peer(handler_at).set_fault_policy(
             "S5", [FaultPolicy(fault_names={"Crash"}, retry_times=2)]
         )
-    txn, error = run_root_transaction(scenario)
+    txn, error = cluster.run_topology()
     compensation_cost = sum(
-        peer.manager.compensation_cost for peer in scenario.peers.values()
+        peer.manager.compensation_cost for peer in cluster.peers.values()
     )
     config = f"handler@{handler_at}" if handler_at else "no handlers"
-    METRICS_BY_CONFIG[config] = scenario.metrics.to_dict(include_values=False)
+    METRICS_BY_CONFIG[config] = cluster.metrics.to_dict(include_values=False)
     return {
         "config": config,
         "outcome": "recovered" if error is None else "aborted",
-        "local_aborts": scenario.metrics.get("local_aborts"),
-        "abort_msgs": scenario.metrics.get("messages.abort"),
-        "discarded": scenario.metrics.get("invocations_discarded"),
-        "forward_recoveries": scenario.metrics.get("forward_recoveries"),
+        "local_aborts": cluster.metrics.get("local_aborts"),
+        "abort_msgs": cluster.metrics.get("messages.abort"),
+        "discarded": cluster.metrics.get("invocations_discarded"),
+        "forward_recoveries": cluster.metrics.get("forward_recoveries"),
         "comp_nodes": compensation_cost,
     }
 

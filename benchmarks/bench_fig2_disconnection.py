@@ -13,8 +13,8 @@ soon as possible and reuse already performed work as much as possible":
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_fig2, run_root_transaction
 from repro.txn.disconnection import (
     run_case_c_child_disconnection,
     run_case_d_sibling_disconnection,
@@ -28,83 +28,83 @@ from _util import publish, publish_json
 METRICS_BY_CASE = {}
 
 
-def _stash(case: str, chaining: bool, scenario) -> None:
+def _stash(case: str, chaining: bool, cluster) -> None:
     label = f"{case}:{'chaining' if chaining else 'naive'}"
-    METRICS_BY_CASE[label] = scenario.metrics.to_dict(include_values=False)
+    METRICS_BY_CASE[label] = cluster.metrics.to_dict(include_values=False)
 
 
 def _fig2(chaining: bool, with_replacement: bool = False):
     extra = ("APX",) if with_replacement else ()
-    scenario = build_fig2(extra_peers=extra, chaining=chaining)
+    cluster = Cluster.fig2(extra_peers=extra, chaining=chaining)
     if with_replacement:
-        scenario.replication.replicate_service("S3", "APX")
-        scenario.replication.replicate_document("D3", "APX")
-        scenario.peer("AP2").set_fault_policy(
+        cluster.replication.replicate_service("S3", "APX")
+        cluster.replication.replicate_document("D3", "APX")
+        cluster.peer("AP2").set_fault_policy(
             "S3",
             [FaultPolicy(fault_names={DISCONNECT_FAULT}, retry_times=1,
                          alternative_peer="APX")],
         )
-    return scenario
+    return cluster
 
 
 def run_case_b(chaining: bool):
-    scenario = _fig2(chaining, with_replacement=True)
-    scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-    txn, error = run_root_transaction(scenario)
-    _stash("b", chaining, scenario)
+    cluster = _fig2(chaining, with_replacement=True)
+    cluster.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
+    txn, error = cluster.run_topology()
+    _stash("b", chaining, cluster)
     return {
         "case": "b:parent-dies",
         "protocol": "chaining" if chaining else "naive",
         "recovered": int(error is None),
-        "redirected": scenario.metrics.get("results_redirected"),
-        "reused": scenario.metrics.get("invocations_reused"),
-        "discarded": scenario.metrics.get("invocations_discarded"),
-        "wasted_units": scenario.metrics.get("work_units_wasted"),
-        "detect_s": scenario.metrics.detection_latency("AP3"),
+        "redirected": cluster.metrics.get("results_redirected"),
+        "reused": cluster.metrics.get("invocations_reused"),
+        "discarded": cluster.metrics.get("invocations_discarded"),
+        "wasted_units": cluster.metrics.get("work_units_wasted"),
+        "detect_s": cluster.metrics.detection_latency("AP3"),
     }
 
 
 def run_case_c(chaining: bool):
-    scenario = _fig2(chaining)
-    txn, _ = run_root_transaction(scenario)
-    scenario.peer("AP6").add_pending_work(txn.txn_id, units=20, unit_duration=0.05)
+    cluster = _fig2(chaining)
+    txn, _ = cluster.run_topology()
+    cluster.peer("AP6").add_pending_work(txn.txn_id, units=20, unit_duration=0.05)
     if not chaining:
         # Ground truth for waste accounting: the txn is doomed either way.
-        scenario.peer("AP6").known_doomed.add(txn.txn_id)
-    scenario.network.disconnect("AP3")
-    report = run_case_c_child_disconnection(scenario.peer("AP2"), txn.txn_id)
-    scenario.network.events.run_until(scenario.network.clock.now + 5.0)
-    _stash("c", chaining, scenario)
+        cluster.peer("AP6").known_doomed.add(txn.txn_id)
+    cluster.network.disconnect("AP3")
+    report = run_case_c_child_disconnection(cluster.peer("AP2"), txn.txn_id)
+    cluster.network.events.run_until(cluster.network.clock.now + 5.0)
+    _stash("c", chaining, cluster)
     return {
         "case": "c:child-dies",
         "protocol": "chaining" if chaining else "naive",
         "recovered": int(report.recovered),
         "redirected": 0,
         "reused": 0,
-        "discarded": scenario.metrics.get("invocations_discarded"),
-        "wasted_units": scenario.metrics.get("work_units_wasted"),
-        "detect_s": scenario.metrics.detection_latency("AP3"),
+        "discarded": cluster.metrics.get("invocations_discarded"),
+        "wasted_units": cluster.metrics.get("work_units_wasted"),
+        "detect_s": cluster.metrics.detection_latency("AP3"),
     }
 
 
 def run_case_d(chaining: bool):
-    scenario = _fig2(chaining)
-    txn, _ = run_root_transaction(scenario)
-    scenario.network.disconnect("AP3")
-    report = run_case_d_sibling_disconnection(scenario.peer("AP4"), txn.txn_id, "AP3")
-    informed = int(txn.txn_id in scenario.peer("AP2").known_doomed) + int(
-        txn.txn_id in scenario.peer("AP6").known_doomed
+    cluster = _fig2(chaining)
+    txn, _ = cluster.run_topology()
+    cluster.network.disconnect("AP3")
+    report = run_case_d_sibling_disconnection(cluster.peer("AP4"), txn.txn_id, "AP3")
+    informed = int(txn.txn_id in cluster.peer("AP2").known_doomed) + int(
+        txn.txn_id in cluster.peer("AP6").known_doomed
     )
-    _stash("d", chaining, scenario)
+    _stash("d", chaining, cluster)
     return {
         "case": "d:sibling-silent",
         "protocol": "chaining" if chaining else "naive",
         "recovered": informed,
         "redirected": 0,
         "reused": 0,
-        "discarded": scenario.metrics.get("invocations_discarded"),
-        "wasted_units": scenario.metrics.get("work_units_wasted"),
-        "detect_s": scenario.metrics.detection_latency("AP3"),
+        "discarded": cluster.metrics.get("invocations_discarded"),
+        "wasted_units": cluster.metrics.get("work_units_wasted"),
+        "detect_s": cluster.metrics.detection_latency("AP3"),
     }
 
 

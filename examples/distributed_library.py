@@ -11,7 +11,7 @@ Run:  python examples/distributed_library.py
 
 from repro import AXMLDocument, AXMLPeer, ReplicationManager, SimNetwork
 from repro.axml.continuous import ContinuousDriver
-from repro.axml.materialize import InvocationOutcome
+from repro.outcome import Outcome
 from repro.p2p.distribution import distribute_fragment, remote_subquery
 from repro.query.parser import parse_select
 from repro.xmlstore.serializer import canonical
@@ -78,7 +78,7 @@ def main() -> None:
     prices = iter(range(11, 99))
     driver = ContinuousDriver(
         feed,
-        lambda call, params: InvocationOutcome([f"<price>{next(prices)}</price>"]),
+        lambda call, params: Outcome([f"<price>{next(prices)}</price>"]),
         network.events,
     )
     driver.start()

@@ -24,15 +24,13 @@ Quickstart::
                    "</location></action>")
     # exiting the with-block committed the transaction
 
-The legacy entry points (``repro.sim.scenarios.build_*`` and
-``run_root_transaction``) still work but emit ``DeprecationWarning`` and
-delegate here.
+Seeded chaos runs are configured by one
+:class:`~repro.chaos.ChaosConfig` and run through
+:func:`repro.chaos.run_chaos` / :func:`repro.chaos.chaos_sweep`.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.axml.document import AXMLDocument
@@ -43,6 +41,7 @@ from repro.p2p.peer import AXMLPeer
 from repro.p2p.replication import ReplicationManager
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import DelegatingService, FunctionService, Service
+from repro.sim.scenarios import ATPLIST_XML, FIG1_TOPOLOGY, FIG2_TOPOLOGY
 from repro.sim.scheduler import TransactionScheduler
 from repro.txn.operations import OperationOutcome
 from repro.txn.recovery import FaultPolicy
@@ -53,13 +52,6 @@ __all__ = [
     "Transaction",
     "Outcome",
     "OutcomeStatus",
-    "RunConfig",
-    "SweepConfig",
-    "chaos",
-    "chaos_sweep",
-    "add_run_arguments",
-    "add_sweep_arguments",
-    "add_output_arguments",
 ]
 
 #: peer → list of (child_peer, method) it invokes, the topology shape.
@@ -302,8 +294,6 @@ class Cluster:
     ) -> "Cluster":
         """The §3.1 running example: AP1 hosts ATPList.xml; AP2 serves
         getPoints; AP3 serves getGrandSlamsWonbyYear."""
-        from repro.sim.scenarios import ATPLIST_XML
-
         cluster = cls()
         for peer_id in ("AP1", "AP2", "AP3"):
             cluster.add_peer(
@@ -361,8 +351,6 @@ class Cluster:
         topology order); ``extra_peers`` creates idle peers for
         recovery/replica experiments.
         """
-        from repro.sim.scenarios import _marker_action, _peer_document
-
         cluster = cls(hop_latency=hop_latency)
         peer_ids: List[str] = []
         for parent, children in topology.items():
@@ -384,26 +372,33 @@ class Cluster:
                 chain_scope=chain_scope,
                 parent_watch_interval=parent_watch_interval,
             )
+            index = peer_id[2:]
             cluster.host_document(
                 peer_id,
                 AXMLDocument.from_xml(
-                    _peer_document(peer_id), name=f"D{peer_id[2:]}"
+                    f"<D{index}><items/></D{index}>", name=f"D{index}"
                 ),
             )
 
         for peer_id in peer_ids:
-            method = f"S{peer_id[2:]}"
+            index = peer_id[2:]
+            method = f"S{index}"
+            # The local work of each service: insert a marker entry.
+            marker = (
+                f'<action type="insert"><data><entry by="{peer_id}"/></data>'
+                f"<location>Select d from d in D{index}//items;</location></action>"
+            )
             cluster.host_service(
                 peer_id,
                 DelegatingService(
                     ServiceDescriptor(
                         method,
                         kind="delegating",
-                        target_document=f"D{peer_id[2:]}",
+                        target_document=f"D{index}",
                         result_name="entry",
                     ),
                     delegations=topology.get(peer_id, []),
-                    local_action_template=_marker_action(peer_id),
+                    local_action_template=marker,
                     extra_fragments=(
                         f'<done by="{peer_id}" method="{method}"/>',
                     ),
@@ -415,331 +410,13 @@ class Cluster:
     @classmethod
     def fig1(cls, **kwargs) -> "Cluster":
         """Fig. 1's deployment (6 peers, nested invocations)."""
-        from repro.sim.scenarios import FIG1_TOPOLOGY
-
         return cls.from_topology(FIG1_TOPOLOGY, **kwargs)
 
     @classmethod
     def fig2(cls, **kwargs) -> "Cluster":
         """Fig. 2's deployment (AP1 is a super peer, per the chain)."""
-        from repro.sim.scenarios import FIG2_TOPOLOGY
-
         kwargs.setdefault("super_peers", ("AP1",))
         return cls.from_topology(FIG2_TOPOLOGY, **kwargs)
 
-    # -- bridging to/from the legacy Scenario shape --------------------
-
-    @classmethod
-    def wrap(cls, scenario) -> "Cluster":
-        """Adopt a legacy :class:`~repro.sim.scenarios.Scenario`."""
-        cluster = cls.__new__(cls)
-        cluster.network = scenario.network
-        cluster.injector = scenario.injector
-        cluster.replication = scenario.replication
-        cluster.peers = dict(scenario.peers)
-        cluster.topology = dict(scenario.topology)
-        return cluster
-
-    def as_scenario(self):
-        """This cluster in the legacy Scenario shape (for old callers)."""
-        from repro.sim.scenarios import Scenario
-
-        return Scenario(
-            self.network,
-            self.injector,
-            dict(self.peers),
-            self.replication,
-            dict(self.topology),
-        )
-
     def __repr__(self) -> str:
         return f"Cluster(peers={sorted(self.peers)})"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One run's knobs — the single configuration surface.
-
-    The same frozen value drives :func:`chaos`, one cell of a
-    :class:`SweepConfig`, and the ``repro chaos`` / ``repro bench`` /
-    ``repro report`` CLIs (whose flags map onto these fields through
-    :func:`add_run_arguments` / :meth:`from_namespace`).  Fields mirror
-    :class:`~repro.chaos.ChaosConfig` plus the PR 7 WAL knobs;
-    :meth:`to_chaos_config` applies the implicit-durability rule the
-    CLI always had (crash faults, WAL mutations, checkpointing and
-    batching all need the on-disk WAL, so they switch it on).
-    """
-
-    seed: int = 7
-    txns: int = 20
-    providers: int = 6
-    origins: int = 2
-    concurrency: int = 4
-    ops_per_txn: int = 3
-    invoke_fraction: float = 0.6
-    fault_rate: float = 0.2
-    handlers: bool = False
-    mutate: str = ""
-    durability: bool = False
-    crash_rate: float = 0.0
-    #: WAL checkpoint interval in appended entries; 0 = no checkpoints.
-    checkpoint_every: int = 0
-    #: WAL group-commit batch size; 1 = flush every frame.
-    wal_batch: int = 1
-    #: Replicas per provider document/service; 0 = no replication.
-    replicas: int = 0
-    #: Committed entries buffered per channel before one WAL-ship
-    #: message goes on the wire.
-    ship_batch: int = 1
-    #: Elastic sharding: place provider shards by the consistent-hash
-    #: ring (``repro.p2p.sharding``) with live migration faults.
-    sharding: bool = False
-    #: Spare peers that join the ring mid-run (needs ``sharding``).
-    shard_spares: int = 0
-
-    def to_chaos_config(self):
-        """The equivalent :class:`~repro.chaos.ChaosConfig` (with the
-        WAL implied when any knob that needs it is set)."""
-        from repro.chaos import ChaosConfig
-
-        return ChaosConfig(
-            seed=self.seed,
-            txns=self.txns,
-            providers=self.providers,
-            origins=self.origins,
-            concurrency=self.concurrency,
-            ops_per_txn=self.ops_per_txn,
-            invoke_fraction=self.invoke_fraction,
-            fault_rate=self.fault_rate,
-            handlers=self.handlers,
-            mutate=self.mutate,
-            durability=bool(
-                self.durability
-                or self.crash_rate > 0
-                or self.mutate == "crash_skip_undo"
-                or self.checkpoint_every > 0
-                or self.wal_batch > 1
-                # WAL shipping streams the durable log, so replication
-                # implies the on-disk WAL too.
-                or self.replicas > 0
-            ),
-            crash_rate=self.crash_rate,
-            checkpoint_every=self.checkpoint_every,
-            wal_batch=self.wal_batch,
-            replicas=self.replicas,
-            ship_batch=self.ship_batch,
-            sharding=self.sharding,
-            shard_spares=self.shard_spares,
-        )
-
-    @classmethod
-    def from_namespace(cls, args) -> "RunConfig":
-        """Build from an argparse namespace produced by a parser that
-        used :func:`add_run_arguments` (missing attributes keep their
-        field defaults, so partial parsers — ``repro bench`` — work)."""
-        values = {}
-        renamed = {"ops_per_txn": "ops"}
-        for f in fields(cls):
-            attr = renamed.get(f.name, f.name)
-            if hasattr(args, attr):
-                value = getattr(args, attr)
-                values[f.name] = f.default if value is None else value
-        return cls(**values)
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """A seed sweep over one :class:`RunConfig` base.
-
-    ``concurrencies`` / ``fault_rates`` default to empty, meaning
-    "derive from the base run" (its concurrency and fault rate); the
-    ``repro chaos --sweep`` CLI widens concurrencies to
-    ``(2, base.concurrency)`` explicitly, as it always did.
-    """
-
-    run: RunConfig = field(default_factory=RunConfig)
-    #: How many seeds, ``0..seeds-1``.
-    seeds: int = 10
-    #: Worker processes (0 = all cores; output byte-identical to serial).
-    workers: int = 1
-    concurrencies: Tuple[int, ...] = ()
-    fault_rates: Tuple[float, ...] = ()
-
-    @classmethod
-    def from_namespace(cls, args) -> "SweepConfig":
-        run = RunConfig.from_namespace(args)
-        return cls(
-            run=run,
-            seeds=getattr(args, "seeds", cls.seeds),
-            workers=getattr(args, "workers", cls.workers),
-            concurrencies=(2, run.concurrency),
-        )
-
-
-# -- shared argparse builders (one flag surface for every CLI) -------------
-
-def add_run_arguments(parser) -> None:
-    """Install the :class:`RunConfig` flags on *parser*."""
-    parser.add_argument("--seed", type=int, default=RunConfig.seed)
-    parser.add_argument("--txns", type=int, default=RunConfig.txns)
-    parser.add_argument(
-        "--fault-rate", type=float, default=RunConfig.fault_rate,
-        help="planned faults per transaction (default %(default)s)")
-    parser.add_argument("--providers", type=int, default=RunConfig.providers)
-    parser.add_argument("--origins", type=int, default=RunConfig.origins)
-    parser.add_argument(
-        "--concurrency", type=int, default=RunConfig.concurrency)
-    parser.add_argument(
-        "--ops", type=int, default=RunConfig.ops_per_txn,
-        help="operations per transaction")
-    parser.add_argument(
-        "--invoke-fraction", type=float, default=RunConfig.invoke_fraction,
-        help="fraction of ops that are remote invocations")
-    parser.add_argument(
-        "--handlers", action="store_true",
-        help="install retry fault policies (forward recovery)")
-    parser.add_argument(
-        "--mutate", default="",
-        choices=("skip_undo", "double_apply", "stale_chain",
-                 "crash_skip_undo"),
-        help="deliberately break the protocol (oracle demo)")
-    parser.add_argument(
-        "--crash-rate", type=float, default=RunConfig.crash_rate,
-        help="planned crash-and-restart faults per transaction "
-             "(implies --durability)")
-    parser.add_argument(
-        "--durability", action="store_true",
-        help="give providers an on-disk WAL (crash recovery)")
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=RunConfig.checkpoint_every,
-        dest="checkpoint_every", metavar="N",
-        help="WAL checkpoint every N appended entries "
-             "(bounds recovery replay; implies --durability)")
-    parser.add_argument(
-        "--wal-batch", type=int, default=RunConfig.wal_batch,
-        dest="wal_batch", metavar="N",
-        help="WAL group-commit batch size (implies --durability "
-             "when > 1)")
-    parser.add_argument(
-        "--replicas", type=int, default=RunConfig.replicas, metavar="R",
-        help="replicas per provider document/service "
-             "(WAL shipping + deterministic failover)")
-    parser.add_argument(
-        "--ship-batch", type=int, default=RunConfig.ship_batch,
-        dest="ship_batch", metavar="N",
-        help="committed WAL entries batched per ship message")
-    parser.add_argument(
-        "--sharding", action="store_true",
-        help="consistent-hash shard placement with live migration "
-             "(docs/SHARDING.md)")
-    parser.add_argument(
-        "--shard-spares", type=int, default=RunConfig.shard_spares,
-        dest="shard_spares", metavar="K",
-        help="spare peers that join the ring mid-run and trigger "
-             "shard rebalancing (needs --sharding)")
-
-
-def add_sweep_arguments(parser, workers_help: str = "") -> None:
-    """Install the :class:`SweepConfig` flags on *parser*."""
-    parser.add_argument(
-        "--workers", type=int, default=SweepConfig.workers,
-        help=workers_help or
-        "worker processes for the sweep (0 = all cores; "
-        "output is byte-identical to serial)")
-    parser.add_argument(
-        "--seeds", type=int, default=SweepConfig.seeds,
-        help="(--sweep) how many seeds, 0..N-1")
-
-
-def add_output_arguments(parser) -> None:
-    """Install the shared artifact flag (``--json-out``) on *parser*."""
-    parser.add_argument(
-        "--json-out", metavar="PATH",
-        help="also write the deterministic result as a JSON artifact")
-
-
-def _warn_kwargs_shim(name: str, replacement: str) -> None:
-    # stacklevel=3: this helper -> the shimmed facade -> the caller.
-    warnings.warn(
-        f"{name} with ChaosConfig keyword arguments is deprecated; "
-        f"pass a {replacement} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def chaos(config: Optional[RunConfig] = None, **config_kwargs):
-    """Run one seeded chaos experiment; returns a ``ChaosRunResult``.
-
-    Facade over :mod:`repro.chaos`, configured by one
-    :class:`RunConfig`.  ``result.ok`` says whether the atomicity
-    oracle verified all-or-nothing outcomes::
-
-        from repro.api import RunConfig, chaos
-
-        result = chaos(RunConfig(seed=7, txns=20, fault_rate=0.2))
-        assert result.ok, result.violations
-
-    The pre-RunConfig spelling ``chaos(seed=7, txns=20, ...)`` (bare
-    :class:`~repro.chaos.ChaosConfig` keyword arguments) still works
-    but emits a ``DeprecationWarning``.  (Imported lazily:
-    ``repro.chaos`` builds its clusters through this module.)
-    """
-    from repro.chaos import ChaosConfig, run_chaos
-
-    if config is not None:
-        if config_kwargs:
-            raise TypeError(
-                "chaos() takes a RunConfig or keyword arguments, not both"
-            )
-        return run_chaos(config.to_chaos_config())
-    _warn_kwargs_shim("chaos()", "RunConfig")
-    return run_chaos(ChaosConfig(**config_kwargs))
-
-
-def chaos_sweep(config=None, workers: int = 1, metrics=None, **config_kwargs):
-    """Sweep chaos over seeds; returns ``(table, failures)``.
-
-    Facade over :func:`repro.chaos.chaos_sweep`, configured by one
-    :class:`SweepConfig`.  ``workers`` > 1 fans the sweep over
-    processes (0 = all cores) with byte-identical output::
-
-        from repro.api import RunConfig, SweepConfig, chaos_sweep
-
-        table, failures = chaos_sweep(
-            SweepConfig(run=RunConfig(txns=12), seeds=10, workers=4))
-        assert not failures, failures[0].violations
-
-    The pre-SweepConfig spelling — a seeds iterable first plus
-    :class:`~repro.chaos.ChaosConfig` keyword arguments,
-    ``chaos_sweep(range(10), workers=4, txns=12)`` — still works but
-    emits a ``DeprecationWarning``.
-    """
-    from repro.chaos import ChaosConfig
-    from repro.chaos import chaos_sweep as _sweep
-
-    if isinstance(config, SweepConfig):
-        if config_kwargs:
-            raise TypeError(
-                "chaos_sweep() takes a SweepConfig or the legacy "
-                "seeds + keyword arguments form, not both"
-            )
-        base = config.run.to_chaos_config()
-        return _sweep(
-            base,
-            seeds=range(config.seeds),
-            concurrencies=config.concurrencies or (base.concurrency,),
-            fault_rates=config.fault_rates or (base.fault_rate,),
-            metrics=metrics,
-            workers=config.workers,
-        )
-    _warn_kwargs_shim("chaos_sweep()", "SweepConfig")
-    base = ChaosConfig(**config_kwargs)
-    return _sweep(
-        base,
-        seeds=config,
-        concurrencies=(base.concurrency,),
-        fault_rates=(base.fault_rate,),
-        metrics=metrics,
-        workers=workers,
-    )

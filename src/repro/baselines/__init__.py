@@ -4,9 +4,12 @@
   handlers (the state of the art §3.1 says is infeasible for AXML);
 * :mod:`repro.baselines.snapshot_rollback` — traditional whole-document
   undo via snapshots;
-* :mod:`repro.baselines.naive_disconnect` — disconnection handling
-  without chaining (detection only by the direct parent, no reuse);
 * :mod:`repro.baselines.two_phase_commit` — blocking atomic commit.
+
+Disconnection handling without chaining (detection only by the direct
+parent, no reuse) needs no module of its own: it is
+``AXMLPeer(chaining=False)``, built for a whole deployment by
+``Cluster.from_topology(..., chaining=False)``.
 """
 
 from repro.baselines.static_compensation import (
@@ -15,7 +18,6 @@ from repro.baselines.static_compensation import (
     CoverageReport,
 )
 from repro.baselines.snapshot_rollback import SnapshotRollback
-from repro.baselines.naive_disconnect import build_naive_variant
 from repro.baselines.two_phase_commit import TwoPhaseCoordinator, TwoPhaseOutcome
 from repro.baselines.lock_manager import LockConflict, LockManager, LockMode
 
@@ -24,7 +26,6 @@ __all__ = [
     "StaticHandler",
     "CoverageReport",
     "SnapshotRollback",
-    "build_naive_variant",
     "TwoPhaseCoordinator",
     "TwoPhaseOutcome",
     "LockConflict",

@@ -37,7 +37,7 @@ prove the oracle catches real violations; see :data:`MUTATIONS`.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.chaos.oracle import AtomicityOracle, ExpectedEffect, Violation
 from repro.chaos.planner import CHAOS_FAULT, FaultEvent, FaultPlan, FaultPlanner
@@ -50,6 +50,7 @@ from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import DelegatingService
 from repro.sim.rng import SeededRng, stable_seed
 from repro.sim.scheduler import COMMITTED, InvokeOp, TxnResult, TxnSpec
+from repro.txn.modes import DurabilityPolicy
 from repro.txn.recovery import FaultPolicy
 
 #: Deliberate protocol breakages; each trips a distinct oracle kind.
@@ -154,30 +155,16 @@ class ChaosConfig:
         return self.txns / self.arrival_rate + 2.0
 
     def to_dict(self) -> Dict[str, object]:
-        out = dict(asdict(self))
-        # Elide the PR 7 WAL knobs at their defaults so summaries and
-        # replay files of checkpoint-less runs stay byte-identical to
-        # what earlier versions emitted.
-        if self.checkpoint_every == 0:
-            out.pop("checkpoint_every")
-        if self.wal_batch == 1:
-            out.pop("wal_batch")
-        # Same rule for the PR 8 replication knobs.
-        if self.replicas == 0:
-            out.pop("replicas")
-        if self.ship_batch == 1:
-            out.pop("ship_batch")
-        # ... and the sharding knobs.
-        if not self.sharding:
-            out.pop("sharding")
-        if self.shard_spares == 0:
-            out.pop("shard_spares")
-        return out
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "ChaosConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        """Decode :meth:`to_dict` output; missing keys take their
+        defaults, unknown keys raise ``ValueError``."""
+        unknown = sorted(set(data) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown ChaosConfig keys: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass
@@ -280,19 +267,13 @@ def build_chaos_cluster(config: ChaosConfig):
 def _durability_kwargs(config: ChaosConfig, scratch, peer_id: str) -> Dict[str, object]:
     if scratch is None:
         return {}
-    if config.checkpoint_every > 0 or config.wal_batch > 1:
-        from repro.txn.modes import DurabilityPolicy
-
-        return {
-            "durability": DurabilityPolicy(
-                directory=scratch.path(peer_id),
-                wal_batch=config.wal_batch,
-                checkpoint_every=config.checkpoint_every,
-            )
-        }
-    # Bare path: the exact PR 5 wiring, so checkpoint-less runs stay
-    # byte-identical.
-    return {"durability": scratch.path(peer_id)}
+    return {
+        "durability": DurabilityPolicy(
+            directory=scratch.path(peer_id),
+            wal_batch=config.wal_batch,
+            checkpoint_every=config.checkpoint_every,
+        )
+    }
 
 
 def _spare_names(config: ChaosConfig) -> List[str]:
@@ -712,7 +693,7 @@ def run_chaos(config: ChaosConfig, plan: Optional[FaultPlan] = None) -> ChaosRun
                 cluster, config, results, expected, mutation
             )
         summary = {
-            "version": 1,
+            "version": 2,
             "config": config.to_dict(),
             "plan": plan.to_dict(),
             "outcomes": {r.label: r.status for r in sorted(results, key=lambda r: r.label)},
@@ -887,8 +868,8 @@ def _sweep_cell(config: ChaosConfig) -> Dict[str, object]:
 
 def chaos_sweep(
     base: ChaosConfig,
-    seeds: Sequence[int],
-    concurrencies: Sequence[int] = (2, 4),
+    seeds: Iterable[int],
+    concurrencies: Iterable[int] = (2, 4),
     fault_rates: Sequence[float] = (0.2,),
     metrics=None,
     workers: int = 1,
@@ -910,6 +891,9 @@ def chaos_sweep(
     from repro.sim.metrics import MetricsCollector
     from repro.sim.parallel import parallel_map, resolve_workers
 
+    # The grid re-walks the inner axes once per outer value, so one-shot
+    # iterables (generators) are materialized first.
+    seeds, concurrencies = tuple(seeds), tuple(concurrencies)
     metrics = metrics or MetricsCollector()
     table = ExperimentTable(
         title="chaos: atomicity under seeded faults",
@@ -941,8 +925,5 @@ def chaos_sweep(
             if result.violations:
                 metrics.incr("chaos_violations", len(result.violations))
                 failures.append(result)
-    table.add_note(
-        f"{len(list(seeds)) * len(list(concurrencies)) * len(list(fault_rates))}"
-        f" runs, {len(failures)} failing"
-    )
+    table.add_note(f"{len(configs)} runs, {len(failures)} failing")
     return table, failures

@@ -9,8 +9,11 @@ Examples::
     python -m repro spheres --super-fraction 0.5 --transactions 500
     python -m repro report --scenario fig1 --fault AP5:S5 --json-out run.json
     python -m repro bench --smoke
+    python -m repro chaos --sweep --seeds 3 --crash-rate 0.3
 
-All commands drive the :mod:`repro.api` facade.
+The scenario commands drive the :mod:`repro.api` facade; ``chaos``
+builds one :class:`~repro.chaos.ChaosConfig` from its flags
+(:func:`chaos_config_from_args`).
 """
 
 from __future__ import annotations
@@ -19,14 +22,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.api import (
-    Cluster,
-    RunConfig,
-    SweepConfig,
-    add_output_arguments,
-    add_run_arguments,
-    add_sweep_arguments,
-)
+from repro.api import Cluster
+from repro.chaos import ChaosConfig
 from repro.sim.scenarios import QUERY_A, QUERY_B
 from repro.txn.recovery import DISCONNECT_FAULT, FaultPolicy
 
@@ -162,21 +159,18 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         _print_chaos_result(result)
         return 1 if result.violations else 0
 
-    # One shared surface: flags -> RunConfig -> ChaosConfig (the
-    # implicit-durability rule lives in RunConfig.to_chaos_config).
-    run_config = RunConfig.from_namespace(args)
-    config = run_config.to_chaos_config()
+    config = chaos_config_from_args(args)
 
     if args.sweep:
-        sweep_config = SweepConfig.from_namespace(args)
         metrics = MetricsCollector()
         table, failures = chaos_sweep(
             config,
-            seeds=range(sweep_config.seeds),
-            concurrencies=sweep_config.concurrencies,
+            seeds=range(args.seeds),
+            # Order-preserving dedup: --concurrency 2 sweeps (2,), once.
+            concurrencies=tuple(dict.fromkeys((2, config.concurrency))),
             fault_rates=(config.fault_rate,),
             metrics=metrics,
-            workers=sweep_config.workers,
+            workers=args.workers,
         )
         print(table.render())
         print(
@@ -203,6 +197,43 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(f"replay with: python -m repro chaos --replay {args.repro_out}")
         return 1
     return 0
+
+
+def chaos_config_from_args(args: argparse.Namespace) -> ChaosConfig:
+    """Build the ChaosConfig a ``repro chaos`` command line asks for.
+
+    Crash faults, the ``crash_skip_undo`` mutation, checkpoints, WAL
+    batching and replicas (WAL shipping streams the durable log) all
+    need the on-disk WAL, so each of them implies ``--durability``, as
+    the flag help says.
+    """
+    return ChaosConfig(
+        seed=args.seed,
+        txns=args.txns,
+        providers=args.providers,
+        origins=args.origins,
+        concurrency=args.concurrency,
+        ops_per_txn=args.ops,
+        invoke_fraction=args.invoke_fraction,
+        fault_rate=args.fault_rate,
+        handlers=args.handlers,
+        mutate=args.mutate,
+        durability=bool(
+            args.durability
+            or args.crash_rate > 0
+            or args.mutate == "crash_skip_undo"
+            or args.checkpoint_every > 0
+            or args.wal_batch > 1
+            or args.replicas > 0
+        ),
+        crash_rate=args.crash_rate,
+        checkpoint_every=args.checkpoint_every,
+        wal_batch=args.wal_batch,
+        replicas=args.replicas,
+        ship_batch=args.ship_batch,
+        sharding=args.sharding,
+        shard_spares=args.shard_spares,
+    )
 
 
 def _print_chaos_result(result) -> None:
@@ -314,6 +345,84 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Install the :class:`~repro.chaos.ChaosConfig` flags on *parser*."""
+    parser.add_argument("--seed", type=int, default=ChaosConfig.seed)
+    parser.add_argument("--txns", type=int, default=ChaosConfig.txns)
+    parser.add_argument(
+        "--fault-rate", type=float, default=ChaosConfig.fault_rate,
+        help="planned faults per transaction (default %(default)s)")
+    parser.add_argument("--providers", type=int, default=ChaosConfig.providers)
+    parser.add_argument("--origins", type=int, default=ChaosConfig.origins)
+    parser.add_argument(
+        "--concurrency", type=int, default=ChaosConfig.concurrency)
+    parser.add_argument(
+        "--ops", type=int, default=ChaosConfig.ops_per_txn,
+        help="operations per transaction")
+    parser.add_argument(
+        "--invoke-fraction", type=float, default=ChaosConfig.invoke_fraction,
+        help="fraction of ops that are remote invocations")
+    parser.add_argument(
+        "--handlers", action="store_true",
+        help="install retry fault policies (forward recovery)")
+    parser.add_argument(
+        "--mutate", default="",
+        choices=("skip_undo", "double_apply", "stale_chain",
+                 "crash_skip_undo"),
+        help="deliberately break the protocol (oracle demo; "
+             "crash_skip_undo implies --durability)")
+    parser.add_argument(
+        "--crash-rate", type=float, default=ChaosConfig.crash_rate,
+        help="planned crash-and-restart faults per transaction "
+             "(implies --durability)")
+    parser.add_argument(
+        "--durability", action="store_true",
+        help="give providers an on-disk WAL (crash recovery)")
+    parser.add_argument(
+        "--checkpoint-every", type=int, default=ChaosConfig.checkpoint_every,
+        dest="checkpoint_every", metavar="N",
+        help="WAL checkpoint every N appended entries "
+             "(bounds recovery replay; implies --durability)")
+    parser.add_argument(
+        "--wal-batch", type=int, default=ChaosConfig.wal_batch,
+        dest="wal_batch", metavar="N",
+        help="WAL group-commit batch size (implies --durability "
+             "when > 1)")
+    parser.add_argument(
+        "--replicas", type=int, default=ChaosConfig.replicas, metavar="R",
+        help="replicas per provider document/service "
+             "(WAL shipping + deterministic failover; implies "
+             "--durability when > 0)")
+    parser.add_argument(
+        "--ship-batch", type=int, default=ChaosConfig.ship_batch,
+        dest="ship_batch", metavar="N",
+        help="committed WAL entries batched per ship message")
+    parser.add_argument(
+        "--sharding", action="store_true",
+        help="consistent-hash shard placement with live migration "
+             "(docs/SHARDING.md)")
+    parser.add_argument(
+        "--shard-spares", type=int, default=ChaosConfig.shard_spares,
+        dest="shard_spares", metavar="K",
+        help="spare peers that join the ring mid-run and trigger "
+             "shard rebalancing (needs --sharding)")
+
+
+def add_workers_argument(parser: argparse.ArgumentParser) -> None:
+    """Install the process fan-out flag (``--workers``) on *parser*."""
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes for the sweep (0 = all cores; "
+             "output is byte-identical to serial)")
+
+
+def add_output_arguments(parser: argparse.ArgumentParser) -> None:
+    """Install the shared artifact flag (``--json-out``) on *parser*."""
+    parser.add_argument(
+        "--json-out", metavar="PATH",
+        help="also write the deterministic result as a JSON artifact")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse command tree (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -356,10 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_b = subparsers.add_parser(
         "bench", help="run the T1 concurrent-throughput sweep"
     )
+    p_b.add_argument("--seed", type=int, default=7, help="sweep seed")
     p_b.add_argument("--smoke", action="store_true",
                      help="small fast sweep (used by CI)")
-    add_run_arguments(p_b)
-    add_sweep_arguments(p_b)
+    add_workers_argument(p_b)
     add_output_arguments(p_b)
     p_b.set_defaults(fn=cmd_bench)
 
@@ -367,10 +476,12 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="seeded chaos harness + atomicity oracle"
     )
     add_run_arguments(p_ch)
-    add_sweep_arguments(p_ch)
+    add_workers_argument(p_ch)
     add_output_arguments(p_ch)
     p_ch.add_argument("--sweep", action="store_true",
                       help="sweep seeds x concurrency x fault-rate")
+    p_ch.add_argument("--seeds", type=int, default=10,
+                      help="(--sweep) how many seeds, 0..N-1")
     p_ch.add_argument("--replay", metavar="FILE",
                       help="re-execute a repro file instead of planning")
     p_ch.add_argument("--repro-out", metavar="PATH", default="chaos_repro.json",

@@ -1,27 +1,9 @@
-"""The unified invocation result type.
+"""The invocation result type.
 
-Historically the repository grew two shapes for "what a service
-invocation returned": ``InvocationOutcome`` (the AXML resolver path,
-:mod:`repro.axml.materialize`) and ``InvokeResult`` (the RPC reply,
-:mod:`repro.p2p.messages`).  They carried overlapping fields and drifted
-apart.  This module unifies them behind one **frozen** :class:`Outcome`
-with an explicit :class:`OutcomeStatus`; the old names remain importable
-as aliases of :class:`Outcome` for one release (see CHANGES.md for the
-field mapping).
-
-Field mapping:
-
-========================  =========================================
-old field                 Outcome field
-========================  =========================================
-``fragments``             ``fragments`` (both shapes)
-``provider_peer``         ``provider_peer`` (both shapes)
-``compensating_definition``  ``compensating_definition`` (resolver)
-``compensations``         ``compensations`` (RPC)
-``nodes_affected``        ``nodes_affected`` (RPC)
-``chain_text``            ``chain_text`` (RPC)
-(implicit)                ``status`` (new, explicit)
-========================  =========================================
+One **frozen** :class:`Outcome` with an explicit :class:`OutcomeStatus`
+describes what a service invocation returned, both on the AXML resolver
+path (:mod:`repro.axml.materialize`) and as the RPC reply to an
+:class:`~repro.p2p.messages.InvokeRequest`.
 """
 
 from __future__ import annotations
@@ -57,7 +39,7 @@ class Outcome:
     ``axml:sc`` elements — nested invocation).  ``compensations`` carries
     ``(provider_peer, plan_xml)`` compensating-service definitions under
     peer-independent compensation (§3.2); ``compensating_definition`` is
-    the legacy single-definition slot the resolver path used.
+    the single-definition slot the resolver path uses.
     ``chain_text`` is the provider's final active-peer chain view (§3.3).
 
     Instances are frozen: a result is a value, not a mutable message —
@@ -98,8 +80,3 @@ class Outcome:
             chain_text=self.chain_text,
             compensating_definition=self.compensating_definition,
         )
-
-
-#: Deprecated aliases — importable for one release; see module docstring.
-InvocationOutcome = Outcome
-InvokeResult = Outcome

@@ -17,7 +17,8 @@ from typing import Callable, Dict, List, Optional, Protocol, Union
 
 from repro.errors import PeerDisconnected, ServiceFault, UnknownPeer
 from repro.obs.spans import SpanCollector
-from repro.p2p.messages import InvokeRequest, InvokeResult, message_kind
+from repro.outcome import Outcome
+from repro.p2p.messages import InvokeRequest, message_kind
 from repro.sim.kernel import Clock, EventQueue
 from repro.sim.metrics import MetricsCollector
 
@@ -28,11 +29,11 @@ class NetworkPeer(Protocol):
     peer_id: str
     disconnected: bool
 
-    def handle_invoke(self, request: InvokeRequest) -> InvokeResult: ...
+    def handle_invoke(self, request: InvokeRequest) -> Outcome: ...
 
     def on_notify(self, message: object) -> None: ...
 
-    def on_return_failure(self, request: InvokeRequest, result: InvokeResult) -> None: ...
+    def on_return_failure(self, request: InvokeRequest, result: Outcome) -> None: ...
 
 
 #: Verdict a message hook may return for one notification: ``None``
@@ -123,7 +124,7 @@ class SimNetwork:
 
     # -- primitives -----------------------------------------------------------
 
-    def rpc(self, source_id: str, target_id: str, request: InvokeRequest) -> InvokeResult:
+    def rpc(self, source_id: str, target_id: str, request: InvokeRequest) -> Outcome:
         """Synchronous service invocation with latency accounting.
 
         Raises :class:`PeerDisconnected` naming whichever peer's death
@@ -163,7 +164,7 @@ class SimNetwork:
 
     def _rpc_deliver(
         self, source_id: str, target_id: str, request: InvokeRequest
-    ) -> InvokeResult:
+    ) -> Outcome:
         """The unobserved RPC protocol: deliver, execute, return."""
         self.clock.advance(self.hop_latency)
         target = self.get_peer(target_id)

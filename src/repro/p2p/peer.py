@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import parse_fault_handlers
-from repro.axml.materialize import InvocationOutcome, Resolver
+from repro.axml.materialize import Resolver
 from repro.axml.service_call import ServiceCall
 from repro.errors import (
     P2PError,
@@ -27,6 +27,7 @@ from repro.errors import (
     ServiceFault,
     TransactionError,
 )
+from repro.outcome import Outcome
 from repro.p2p.chain import PeerChain
 from repro.p2p.messages import (
     AbortMessage,
@@ -34,7 +35,6 @@ from repro.p2p.messages import (
     CompensationRequest,
     DisconnectNotice,
     InvokeRequest,
-    InvokeResult,
     RedirectedResult,
     WalShipAck,
     WalShipMessage,
@@ -112,9 +112,7 @@ class AXMLPeer:
         #: on-disk WAL (:mod:`repro.txn.durable_wal`); ``None`` keeps
         #: the log memory-only and peers fail by disconnecting, never
         #: crashing.  Bare strings are coerced to a policy with default
-        #: knobs (PR 5 behaviour); the original value stays visible as
-        #: ``self.durability`` for old call-sites.
-        self.durability = durability
+        #: knobs.
         self.durability_policy = coerce_durability(durability)
         self.wal = None
         if self.durability_policy is not None:
@@ -148,7 +146,7 @@ class AXMLPeer:
         self._incoming_reuse: Dict[Tuple[str, str], List[str]] = {}
         #: Completed executions of *replicated* services, for
         #: exactly-once re-delegation: (txn_id, method, params) →
-        #: InvokeResult.  A parent that failed over re-runs its
+        #: Outcome.  A parent that failed over re-runs its
         #: delegations; a child that already did the work returns its
         #: previous result instead of applying the share twice.
         self._completed_invokes: Dict[
@@ -242,7 +240,7 @@ class AXMLPeer:
         if txn_id is None:
             return None
 
-        def resolve(call: ServiceCall, params: Dict[str, str]) -> InvocationOutcome:
+        def resolve(call: ServiceCall, params: Dict[str, str]) -> Outcome:
             target = call.peer_hint
             policies = [
                 FaultPolicy.from_handler(h)
@@ -252,13 +250,13 @@ class AXMLPeer:
                 response = self._execute_local_service(
                     txn_id, call.method_name, params
                 )
-                return InvocationOutcome(
+                return Outcome(
                     response.fragments, provider_peer=self.peer_id
                 )
             fragments = self.invoke(
                 txn_id, target, call.method_name, params, policies=policies or None
             )
-            return InvocationOutcome(fragments, provider_peer=target)
+            return Outcome(fragments, provider_peer=target)
 
         return resolve
 
@@ -603,7 +601,7 @@ class AXMLPeer:
     # participant role: service execution (callee side of §3.2)
     # ------------------------------------------------------------------
 
-    def handle_invoke(self, request: InvokeRequest) -> InvokeResult:
+    def handle_invoke(self, request: InvokeRequest) -> Outcome:
         """Execute a service for a remote invoker under its transaction."""
         if self.disconnected:
             raise PeerDisconnected(self.peer_id)
@@ -698,7 +696,7 @@ class AXMLPeer:
             # Share hand-off: the entries behind these fragments must be
             # durable before the invoker acts on the result.
             self._wal_barrier()
-            result = InvokeResult(
+            result = Outcome(
                 fragments=response.fragments,
                 provider_peer=self.peer_id,
                 compensations=compensations,
@@ -968,7 +966,7 @@ class AXMLPeer:
     # disconnection handling (§3.3)
     # ------------------------------------------------------------------
 
-    def on_return_failure(self, request: InvokeRequest, result: InvokeResult) -> None:
+    def on_return_failure(self, request: InvokeRequest, result: Outcome) -> None:
         """§3.3(b): we finished a service but our invoker died.
 
         With chaining: push the results (and compensating definitions) up
@@ -1023,7 +1021,7 @@ class AXMLPeer:
     def _drop_completed_invokes(self, txn_id: str) -> None:
         """Invalidate the exactly-once cache for an aborted share.
 
-        Once the share is compensated, a cached :class:`InvokeResult`
+        Once the share is compensated, a cached :class:`Outcome`
         would make a later legitimate re-invocation return stale results
         without redoing the (now undone) work.
         """

@@ -255,12 +255,12 @@ def generate_invocation_tree(
     fanout: int,
     fanout_jitter: bool = True,
 ) -> Dict[str, List[Tuple[str, str]]]:
-    """A random invocation topology of the scenario-builder shape.
+    """A random invocation topology of the ``Cluster.from_topology`` shape.
 
     Peers are named ``AP1..APn`` breadth-first from the root ``AP1``;
     each internal peer invokes 1..*fanout* children down to *depth*
     levels.  The result plugs directly into
-    :func:`repro.sim.scenarios.build_topology`.
+    :meth:`repro.api.Cluster.from_topology`.
     """
     topology: Dict[str, List[Tuple[str, str]]] = {}
     counter = [1]

@@ -1,29 +1,13 @@
-"""Typed durability and rejoin knobs (replacing stringly parameters).
+"""Typed durability and rejoin knobs.
 
-PR 5 grew two stringly-typed parameters: ``AXMLPeer(durability=<dir>)``
-(a bare directory path meaning "attach an on-disk WAL there") and
-``AXMLPeer.rejoin(mode="compensate"|"in_doubt")``.  This module gives
-both a typed surface while keeping every old call-site working — the
-strings are *coerced*, never rejected.
-
-Mapping notes (old → new), in the spirit of ``repro/outcome.py``:
-
-===========================  =============================================
-old spelling                 new spelling
-===========================  =============================================
-``durability=None``          ``durability=None`` (≡ ``Durability.MEMORY``)
-``durability="/wal/dir"``    ``DurabilityPolicy(directory="/wal/dir")``
-                             (≡ ``Durability.WAL`` with default knobs;
-                             the bare string is still accepted and
-                             coerced by :func:`coerce_durability`)
-``rejoin(mode="compensate")``  ``rejoin(mode=RejoinMode.COMPENSATE)``
-``rejoin(mode="in_doubt")``    ``rejoin(mode=RejoinMode.IN_DOUBT)``
-===========================  =============================================
-
-:class:`DurabilityPolicy` also carries the PR 7 write-path knobs that a
-bare path could never express: group-commit batching (``wal_batch``,
+:class:`DurabilityPolicy` carries every knob of a peer's on-disk WAL:
+the directory, group-commit batching (``wal_batch``,
 ``flush_interval``, ``flush_on_prepare``) and checkpointing
 (``checkpoint_every``) — see ``docs/DURABILITY.md``.
+``AXMLPeer(durability=...)`` also accepts a bare directory path, which
+:func:`coerce_durability` turns into a policy with default knobs.
+:class:`RejoinMode` names what :meth:`AXMLPeer.rejoin` does with
+recovered shares; its string values are accepted too.
 """
 
 from __future__ import annotations
@@ -31,28 +15,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Optional, Union
-
-
-class Durability(enum.Enum):
-    """Whether a peer's operation log outlives its process."""
-
-    #: In-memory log only; the peer fails by disconnecting, never crashing.
-    MEMORY = "memory"
-    #: Every log entry streamed to an on-disk WAL (``repro.txn.durable_wal``).
-    WAL = "wal"
-
-    @classmethod
-    def coerce(cls, value: Union["Durability", str]) -> "Durability":
-        """Accept the enum or its string value (``"memory"`` / ``"wal"``)."""
-        if isinstance(value, cls):
-            return value
-        try:
-            return cls(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown durability {value!r}; use one of "
-                f"{[m.value for m in cls]}"
-            ) from None
 
 
 class RejoinMode(enum.Enum):
@@ -81,7 +43,6 @@ class RejoinMode(enum.Enum):
 class DurabilityPolicy:
     """Every knob of a peer's durable WAL, in one frozen value.
 
-    ``mode`` is :attr:`Durability.WAL` whenever a ``directory`` is set.
     The defaults reproduce PR 5's write path exactly: one physical
     flush per frame (``wal_batch=1``), no flush timer, no checkpoints —
     so a policy built from a bare directory string changes nothing.
@@ -110,10 +71,6 @@ class DurabilityPolicy:
             raise ValueError("checkpoint_every must be >= 0")
         if self.flush_interval is not None and self.flush_interval <= 0:
             raise ValueError("flush_interval must be positive (or None)")
-
-    @property
-    def mode(self) -> Durability:
-        return Durability.WAL if self.directory else Durability.MEMORY
 
 
 def coerce_durability(

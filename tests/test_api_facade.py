@@ -1,71 +1,10 @@
-"""The repro.api facade and the deprecated scenario shims.
-
-Covers: facade construction parity with the legacy builders (identical
-metric traces), DeprecationWarning emission, Transaction context-manager
-semantics, and the Scenario wrap/as_scenario bridge."""
+"""The repro.api facade: cluster building, sessions, and Transaction
+context-manager semantics."""
 
 import pytest
 
 from repro.api import Cluster
 from repro.errors import ReproError
-
-
-class TestShimEquivalence:
-    def test_build_fig1_matches_facade_trace(self):
-        import warnings
-
-        from repro.sim.scenarios import build_fig1, run_root_transaction
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            scenario = build_fig1()
-            txn, error = run_root_transaction(scenario)
-        assert error is None
-        scenario.peer("AP1").commit(txn.txn_id)
-
-        cluster = Cluster.fig1()
-        handle, error2 = cluster.run_topology()
-        assert error2 is None
-        handle.commit()
-
-        assert scenario.metrics.snapshot() == cluster.metrics.snapshot()
-
-    def test_build_atplist_matches_facade(self):
-        from repro.sim.scenarios import build_atplist_scenario
-
-        with pytest.deprecated_call():
-            scenario = build_atplist_scenario(points_value="123")
-        cluster = Cluster.atplist(points_value="123")
-        assert sorted(scenario.peers) == sorted(cluster.peers)
-        legacy_doc = scenario.peer("AP1").get_axml_document("ATPList")
-        facade_doc = cluster.peer("AP1").get_axml_document("ATPList")
-        assert legacy_doc.to_xml() == facade_doc.to_xml()
-
-    def test_all_shims_warn(self):
-        from repro.sim import scenarios
-
-        with pytest.deprecated_call():
-            scenarios.build_fig1()
-        with pytest.deprecated_call():
-            scenarios.build_fig2()
-        with pytest.deprecated_call():
-            scenarios.build_topology({"AP1": [("AP2", "S2")]})
-        with pytest.deprecated_call():
-            scenario = scenarios.build_atplist_scenario()
-        with pytest.deprecated_call():
-            scenarios.run_root_transaction(scenario)
-
-    def test_wrap_and_as_scenario_roundtrip(self):
-        from repro.sim.scenarios import Scenario
-
-        cluster = Cluster.fig2()
-        scenario = cluster.as_scenario()
-        assert isinstance(scenario, Scenario)
-        assert scenario.network is cluster.network
-        assert scenario.topology == cluster.topology
-        back = Cluster.wrap(scenario)
-        assert back.network is cluster.network
-        assert sorted(back.peers) == sorted(cluster.peers)
 
 
 class TestClusterBuilding:

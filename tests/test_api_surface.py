@@ -20,9 +20,6 @@ def _public_methods(cls) -> set:
 def test_api_all_snapshot():
     assert api.__all__ == [
         "Cluster", "Session", "Transaction", "Outcome", "OutcomeStatus",
-        "RunConfig", "SweepConfig",
-        "chaos", "chaos_sweep",
-        "add_run_arguments", "add_sweep_arguments", "add_output_arguments",
     ]
 
 
@@ -36,10 +33,8 @@ def test_cluster_surface_snapshot():
         "run_until", "run_all", "scheduler", "run_topology",
         # canonical deployments
         "atplist", "fig1", "fig2", "from_topology",
-        # legacy bridge
-        "wrap", "as_scenario",
     }
-    assert _public_methods(api.Cluster) >= expected
+    assert _public_methods(api.Cluster) == expected
     for prop in ("metrics", "spans", "clock", "events"):
         assert isinstance(vars(api.Cluster)[prop], property)
 
@@ -61,11 +56,6 @@ def test_transaction_surface_snapshot():
 def test_unified_outcome_exported():
     assert api.Outcome is Outcome
     assert api.OutcomeStatus is OutcomeStatus
-    # The legacy names stay importable as aliases of the same class.
-    from repro.outcome import InvocationOutcome, InvokeResult
-
-    assert InvocationOutcome is Outcome
-    assert InvokeResult is Outcome
 
 
 def test_package_exports_facade():

@@ -17,9 +17,9 @@ at any protocol point), the system terminates with relaxed atomicity —
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import Cluster
 from repro.errors import PeerDisconnected, ReproError, ServiceFault
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import build_topology, run_root_transaction
 from repro.sim.workload import generate_invocation_tree, tree_peers
 from repro.txn.transaction import TransactionState
 from repro.xmlstore.serializer import canonical
@@ -28,10 +28,10 @@ FAULT_POINTS = ("before_execute", "after_execute")
 DISCONNECT_POINTS = ("before_execute", "after_local_work", "before_return")
 
 
-def snapshot_documents(scenario):
+def snapshot_documents(cluster):
     return {
         peer_id: canonical(peer.get_axml_document(f"D{peer_id[2:]}").document)
-        for peer_id, peer in scenario.peers.items()
+        for peer_id, peer in cluster.peers.items()
     }
 
 
@@ -46,29 +46,29 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2)
     # parent watch on: orphans of an in-flight dead subtree self-detect.
-    scenario = build_topology(
+    cluster = Cluster.from_topology(
         topology, super_peers=("AP1",), parent_watch_interval=0.05
     )
-    pre = snapshot_documents(scenario)
+    pre = snapshot_documents(cluster)
     peers = tree_peers(topology)
     victim = rng.choice([p for p in peers if p != "AP1"])
     victim_method = f"S{victim[2:]}"
     if failure_kind == "fault":
         point = FAULT_POINTS[point_index % len(FAULT_POINTS)]
-        scenario.injector.fault_service(victim, victim_method, "Crash", point=point)
+        cluster.injector.fault_service(victim, victim_method, "Crash", point=point)
     elif failure_kind == "disconnect":
         point = DISCONNECT_POINTS[point_index % len(DISCONNECT_POINTS)]
-        scenario.injector.disconnect_during(victim, victim_method, point)
+        cluster.injector.disconnect_during(victim, victim_method, point)
 
-    txn, error = run_root_transaction(scenario)
-    origin = scenario.peer("AP1")
+    txn, error = cluster.run_topology()
+    origin = cluster.peer("AP1")
     if error is None:
         origin.commit(txn.txn_id)
     # (origin abort already ran inside the protocol when error != None)
     # Let keep-alive probes resolve any in-doubt orphans.
-    scenario.network.events.run_until(scenario.network.clock.now + 2.0)
+    cluster.network.events.run_until(cluster.network.clock.now + 2.0)
 
-    for peer_id, peer in scenario.peers.items():
+    for peer_id, peer in cluster.peers.items():
         if peer.disconnected:
             continue  # §3.3: dead peers may hold garbage
         context = peer.manager.contexts.get(txn.txn_id)
@@ -89,15 +89,15 @@ def test_single_failure_atomicity(seed, depth, failure_kind, point_index):
 def test_no_failure_always_commits(seed, depth):
     rng = SeededRng(seed)
     topology = generate_invocation_tree(rng, depth=depth, fanout=2)
-    scenario = build_topology(topology, super_peers=("AP1",))
-    txn, error = run_root_transaction(scenario)
+    cluster = Cluster.from_topology(topology, super_peers=("AP1",))
+    txn, error = cluster.run_topology()
     assert error is None
-    scenario.peer("AP1").commit(txn.txn_id)
+    cluster.peer("AP1").commit(txn.txn_id)
     # every participant holds its marker entry
     for peer_id in tree_peers(topology):
         if peer_id == "AP1":
             continue
-        doc = scenario.peer(peer_id).get_axml_document(f"D{peer_id[2:]}")
+        doc = cluster.peer(peer_id).get_axml_document(f"D{peer_id[2:]}")
         assert f'<entry by="{peer_id}"/>' in doc.to_xml()
 
 
@@ -112,11 +112,11 @@ def test_peer_independent_matches_peer_dependent(seed, depth):
     victim = rng.choice(leaves)
     states = {}
     for peer_independent in (False, True):
-        scenario = build_topology(topology, peer_independent=peer_independent)
-        scenario.injector.fault_service(
+        cluster = Cluster.from_topology(topology, peer_independent=peer_independent)
+        cluster.injector.fault_service(
             victim, f"S{victim[2:]}", "Crash", point="after_execute"
         )
-        txn, error = run_root_transaction(scenario)
+        txn, error = cluster.run_topology()
         assert error is not None
-        states[peer_independent] = snapshot_documents(scenario)
+        states[peer_independent] = snapshot_documents(cluster)
     assert states[False] == states[True]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.axml.continuous import ContinuousDriver, StreamSubscription
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import InvocationOutcome
+from repro.outcome import Outcome
 from repro.errors import ServiceFault
 from repro.sim.kernel import Clock, EventQueue
 
@@ -27,14 +27,14 @@ def make_driver(resolver, on_tick=None):
 class TestContinuousDriver:
     def test_only_frequency_calls_scheduled(self):
         doc, events, driver = make_driver(
-            lambda c, p: InvocationOutcome(["<quote>1</quote>"])
+            lambda c, p: Outcome(["<quote>1</quote>"])
         )
         assert driver.start() == 1
 
     def test_periodic_ticks(self):
         values = iter(range(101, 120))
         doc, events, driver = make_driver(
-            lambda c, p: InvocationOutcome([f"<quote>{next(values)}</quote>"])
+            lambda c, p: Outcome([f"<quote>{next(values)}</quote>"])
         )
         driver.start()
         events.run_until(3.5)
@@ -44,7 +44,7 @@ class TestContinuousDriver:
 
     def test_tick_records_changes(self):
         doc, events, driver = make_driver(
-            lambda c, p: InvocationOutcome(["<quote>1</quote>"])
+            lambda c, p: Outcome(["<quote>1</quote>"])
         )
         driver.start()
         events.run_until(1.0)
@@ -53,7 +53,7 @@ class TestContinuousDriver:
 
     def test_stop(self):
         doc, events, driver = make_driver(
-            lambda c, p: InvocationOutcome(["<quote>1</quote>"])
+            lambda c, p: Outcome(["<quote>1</quote>"])
         )
         driver.start()
         events.run_until(1.0)
@@ -68,7 +68,7 @@ class TestContinuousDriver:
             calls["n"] += 1
             if calls["n"] == 1:
                 raise ServiceFault("Unavailable")
-            return InvocationOutcome(["<quote>1</quote>"])
+            return Outcome(["<quote>1</quote>"])
 
         doc, events, driver = make_driver(flaky)
         driver.start()
@@ -77,7 +77,7 @@ class TestContinuousDriver:
 
     def test_deleted_call_lapses(self):
         doc, events, driver = make_driver(
-            lambda c, p: InvocationOutcome(["<quote>1</quote>"])
+            lambda c, p: Outcome(["<quote>1</quote>"])
         )
         driver.start()
         doc.service_calls()[0].element.detach()
@@ -87,7 +87,7 @@ class TestContinuousDriver:
     def test_on_tick_callback(self):
         seen = []
         doc, events, driver = make_driver(
-            lambda c, p: InvocationOutcome(["<quote>1</quote>"]), on_tick=seen.append
+            lambda c, p: Outcome(["<quote>1</quote>"]), on_tick=seen.append
         )
         driver.start()
         events.run_until(2.0)

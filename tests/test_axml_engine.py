@@ -5,12 +5,10 @@ import pytest
 
 from repro.axml.document import AXMLDocument
 from repro.axml.faults import parse_fault_handlers, select_handler, HookRegistry
-from repro.axml.materialize import (
-    InvocationOutcome,
-    MaterializationEngine,
-)
+from repro.axml.materialize import MaterializationEngine
 from repro.axml.service_call import ServiceCall, install_service_call
 from repro.errors import MaterializationError, ServiceCallError
+from repro.outcome import Outcome
 from repro.query.parser import parse_select
 from repro.xmlstore.parser import parse_document
 
@@ -210,7 +208,7 @@ class TestMaterialization:
     def test_replace_mode(self):
         doc = self._doc()
         engine = MaterializationEngine(
-            doc, lambda call, params: InvocationOutcome(["<stock>99</stock>"])
+            doc, lambda call, params: Outcome(["<stock>99</stock>"])
         )
         report = engine.materialize_all()
         assert report.invocation_count == 1
@@ -226,7 +224,7 @@ class TestMaterialization:
             "<D><axml:sc mode='merge' methodName='m'><r>1</r></axml:sc></D>"
         )
         engine = MaterializationEngine(
-            doc, lambda call, params: InvocationOutcome(["<r>2</r>"])
+            doc, lambda call, params: Outcome(["<r>2</r>"])
         )
         report = engine.materialize_all()
         results = doc.service_calls()[0].result_nodes()
@@ -239,7 +237,7 @@ class TestMaterialization:
 
         def resolver(call, params):
             seen.update(params)
-            return InvocationOutcome([])
+            return Outcome([])
 
         MaterializationEngine(doc, resolver).materialize_all()
         assert seen == {"id": "42"}
@@ -255,8 +253,8 @@ class TestMaterialization:
         def resolver(call, params):
             order.append((call.method_name, dict(params)))
             if call.method_name == "inner":
-                return InvocationOutcome(["<v>materialized</v>"])
-            return InvocationOutcome(["<out/>"])
+                return Outcome(["<v>materialized</v>"])
+            return Outcome(["<out/>"])
 
         MaterializationEngine(doc, resolver).materialize_all()
         assert order[0][0] == "inner"
@@ -269,10 +267,10 @@ class TestMaterialization:
 
         def resolver(call, params):
             if call.method_name == "first":
-                return InvocationOutcome(
+                return Outcome(
                     ["<axml:sc mode='replace' methodName='second'/>"]
                 )
-            return InvocationOutcome(["<final>done</final>"])
+            return Outcome(["<final>done</final>"])
 
         report = MaterializationEngine(doc, resolver).materialize_all()
         assert report.methods() == ["first", "second"]
@@ -283,7 +281,7 @@ class TestMaterialization:
         )
 
         def resolver(call, params):
-            return InvocationOutcome(["<axml:sc mode='replace' methodName='loop'/>"])
+            return Outcome(["<axml:sc mode='replace' methodName='loop'/>"])
 
         engine = MaterializationEngine(doc, resolver, max_depth=3)
         with pytest.raises(MaterializationError):
@@ -301,7 +299,7 @@ class TestMaterialization:
 
         def resolver(call, params):
             invoked.append(call.method_name)
-            return InvocationOutcome([f"<{call.result_name}>2</{call.result_name}>"])
+            return Outcome([f"<{call.result_name}>2</{call.result_name}>"])
 
         q = parse_select("Select i/beta from i in D//item;")
         MaterializationEngine(doc, resolver).materialize_for_query(q)
@@ -311,7 +309,7 @@ class TestMaterialization:
         doc = self._doc()
         call = doc.service_calls()[0]
         engine = MaterializationEngine(
-            doc, lambda c, p: InvocationOutcome(["<stock>1</stock>"])
+            doc, lambda c, p: Outcome(["<stock>1</stock>"])
         )
         report = engine.materialize_call(call)
         assert report.invocation_count == 1

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import InvocationOutcome, MaterializationEngine
+from repro.axml.materialize import MaterializationEngine
+from repro.outcome import Outcome
 from repro.baselines.snapshot_rollback import SnapshotRollback
 from repro.baselines.static_compensation import CoverageReport, StaticCompensator
 from repro.baselines.two_phase_commit import TwoPhaseCoordinator, TwoPhaseOutcome
@@ -97,7 +98,7 @@ class TestStaticCompensator:
         pre = axml.document.clone(preserve_ids=True)
         q = parse_select("Select i/stock from i in D//item;")
         MaterializationEngine(
-            axml, lambda c, p: InvocationOutcome(["<stock>2</stock>"])
+            axml, lambda c, p: Outcome(["<stock>2</stock>"])
         ).materialize_for_query(q)
         report = CoverageReport()
         StaticCompensator().compensate("q1", axml.document, pre, report)

@@ -4,7 +4,8 @@
 import pytest
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import InvocationOutcome, MaterializationEngine
+from repro.axml.materialize import MaterializationEngine
+from repro.outcome import Outcome
 from repro.axml.service_call import ServiceCall
 from repro.p2p.chain import PeerChain
 from repro.query.parser import parse_select
@@ -77,7 +78,7 @@ class TestFetchOnce:
 
         def resolver(call, params):
             calls.append(call.method_name)
-            return InvocationOutcome(["<frag>new</frag>"])
+            return Outcome(["<frag>new</frag>"])
 
         report = MaterializationEngine(doc, resolver).materialize_all()
         assert calls == []
@@ -87,7 +88,7 @@ class TestFetchOnce:
     def test_fetched_when_empty(self):
         doc = self._doc(with_results=False)
         report = MaterializationEngine(
-            doc, lambda c, p: InvocationOutcome(["<frag>new</frag>"])
+            doc, lambda c, p: Outcome(["<frag>new</frag>"])
         ).materialize_all()
         assert report.invocation_count == 1
         assert "new" in doc.to_xml()
@@ -99,7 +100,7 @@ class TestFetchOnce:
             name="D",
         )
         report = MaterializationEngine(
-            doc, lambda c, p: InvocationOutcome(["<frag>new</frag>"])
+            doc, lambda c, p: Outcome(["<frag>new</frag>"])
         ).materialize_all()
         assert report.invocation_count == 1
         assert "new" in doc.to_xml()

@@ -208,6 +208,20 @@ class TestShrinkAndRepro:
         with pytest.raises(ValueError):
             load_repro_file(str(path))
 
+    def test_repro_file_unknown_config_keys_rejected(self, tmp_path, capsys):
+        failing = run_chaos(self.CONFIG)
+        path = tmp_path / "repro.json"
+        write_repro_file(str(path), failing)
+        data = json.loads(path.read_text())
+        # Misspelt knobs must not silently replay a different run.
+        data["config"]["txnz"] = 99
+        data["config"]["replicaz"] = 2
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="replicaz, txnz"):
+            load_repro_file(str(path))
+        assert main(["chaos", "--replay", str(path)]) == 2
+        assert "replicaz" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_counts_and_metrics(self):
@@ -223,6 +237,16 @@ class TestSweep:
         assert metrics.get("chaos_runs") == 4
         assert metrics.get("chaos_violations") == 0
         assert len(table.rows) == 4
+
+    def test_sweep_accepts_one_shot_seed_iterables(self):
+        base = ChaosConfig(txns=4, fault_rate=0.0)
+        from_range, _ = chaos_sweep(base, seeds=range(3), concurrencies=(2, 4))
+        from_gen, _ = chaos_sweep(
+            base, seeds=(s for s in range(3)), concurrencies=(2, 4)
+        )
+        assert len(from_gen.rows) == 6
+        assert from_gen.render() == from_range.render()
+        assert "6 runs, 0 failing" in from_gen.render()
 
 
 class TestChaosCli:
@@ -264,6 +288,24 @@ class TestChaosCli:
         out = capsys.readouterr().out
         assert "chaos_runs = 4" in out
         assert "chaos_violations = 0" in out
+
+    def test_sweep_at_concurrency_two_runs_each_cell_once(self, capsys):
+        assert main([
+            "chaos", "--sweep", "--seeds", "2", "--txns", "4",
+            "--concurrency", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "chaos_runs = 2" in out
+        assert "2 runs, 0 failing" in out
+
+    def test_summary_is_version_2_with_every_config_field(self, tmp_path):
+        out = tmp_path / "summary.json"
+        assert main(["chaos", "--seed", "1", "--txns", "4",
+                     "--json-out", str(out)]) == 0
+        summary = json.loads(out.read_text())
+        assert summary["version"] == 2
+        assert summary["config"] == ChaosConfig(seed=1, txns=4).to_dict()
+        assert set(summary["config"]) == set(ChaosConfig.__dataclass_fields__)
 
 
 class TestInvokeOpUnit:

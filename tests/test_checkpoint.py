@@ -2,9 +2,9 @@
 
 Covers the R1 tentpole (checkpoint store round-trips, torn-file
 fallback, bounded tail replay, segment retention, group-commit
-buffering/barriers/crash-discard) plus the PR 7 satellites: the
-`Durability`/`RejoinMode` enums, `RunConfig`/`SweepConfig`, the kwarg
-deprecation shims, and the stacklevel pin for every shim family.
+buffering/barriers/crash-discard) plus the typed durability surface
+(`DurabilityPolicy`, `RejoinMode`) and the CLI's implicit-durability
+rule for chaos runs.
 """
 
 import json
@@ -12,11 +12,10 @@ import warnings
 
 import pytest
 
-import repro.api as api
-from repro.api import RunConfig, SweepConfig
 from repro.axml.document import AXMLDocument
-from repro.chaos import ChaosConfig, FaultPlanner, run_chaos
+from repro.chaos import ChaosConfig, FaultPlanner, chaos_sweep, run_chaos
 from repro.chaos.planner import FaultEvent
+from repro.cli import build_parser, chaos_config_from_args
 from repro.p2p.failure import POINTS, FailureInjector
 from repro.p2p.network import SimNetwork
 from repro.p2p.peer import AXMLPeer
@@ -24,7 +23,6 @@ from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.service import UpdateService
 from repro.txn.checkpoint import Checkpoint, CheckpointStore
 from repro.txn.modes import (
-    Durability,
     DurabilityPolicy,
     RejoinMode,
     coerce_durability,
@@ -329,12 +327,6 @@ class TestCrashConsistencyEveryPoint:
 
 
 class TestModes:
-    def test_durability_coerce(self):
-        assert Durability.coerce("wal") is Durability.WAL
-        assert Durability.coerce(Durability.MEMORY) is Durability.MEMORY
-        with pytest.raises(ValueError, match="unknown durability"):
-            Durability.coerce("tape")
-
     def test_rejoin_mode_coerce(self):
         assert RejoinMode.coerce("in_doubt") is RejoinMode.IN_DOUBT
         assert RejoinMode.coerce(RejoinMode.COMPENSATE) is RejoinMode.COMPENSATE
@@ -348,8 +340,6 @@ class TestModes:
             DurabilityPolicy(directory="x", checkpoint_every=-1)
         with pytest.raises(ValueError):
             DurabilityPolicy(directory="x", flush_interval=0)
-        assert DurabilityPolicy(directory="x").mode is Durability.WAL
-        assert DurabilityPolicy().mode is Durability.MEMORY
 
     def test_coerce_durability(self, tmp_path):
         assert coerce_durability(None) is None
@@ -369,81 +359,57 @@ class TestModes:
         assert not worker.disconnected
 
 
+def _chaos_config(*flags):
+    return chaos_config_from_args(build_parser().parse_args(["chaos", *flags]))
+
+
 class TestRunSweepConfig:
+    """The ``repro chaos`` flags map onto one ChaosConfig."""
+
     def test_implicit_durability(self):
-        assert not RunConfig().to_chaos_config().durability
-        assert RunConfig(crash_rate=0.1).to_chaos_config().durability
-        assert RunConfig(checkpoint_every=4).to_chaos_config().durability
-        assert RunConfig(wal_batch=8).to_chaos_config().durability
-        assert RunConfig(mutate="crash_skip_undo").to_chaos_config().durability
+        assert not _chaos_config().durability
+        assert _chaos_config("--crash-rate", "0.1").durability
+        assert _chaos_config("--checkpoint-every", "4").durability
+        assert _chaos_config("--wal-batch", "8").durability
+        assert _chaos_config("--mutate", "crash_skip_undo").durability
+        assert _chaos_config("--replicas", "1").durability
+        # ChaosConfig itself does not imply anything: it rejects the mix.
+        with pytest.raises(ValueError, match="durability"):
+            ChaosConfig(crash_rate=0.1)
 
     def test_cli_flags_map_onto_run_config(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args([
-            "chaos", "--seed", "3", "--txns", "5",
+        config = _chaos_config(
+            "--seed", "3", "--txns", "5",
             "--checkpoint-every", "4", "--wal-batch", "8",
             "--crash-rate", "0.25",
-        ])
-        config = RunConfig.from_namespace(args)
-        assert config == RunConfig(
-            seed=3, txns=5, checkpoint_every=4, wal_batch=8, crash_rate=0.25
         )
-        sweep = SweepConfig.from_namespace(args)
-        assert sweep.run == config
-        assert sweep.concurrencies == (2, config.concurrency)
-
-    def test_bench_parser_shares_the_flags(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["bench", "--smoke", "--seed", "9"])
-        assert RunConfig.from_namespace(args).seed == 9
+        assert config == ChaosConfig(
+            seed=3, txns=5, checkpoint_every=4, wal_batch=8, crash_rate=0.25,
+            durability=True,
+        )
 
     def test_chaos_accepts_run_config_without_warning(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = api.chaos(RunConfig(txns=4, fault_rate=0.0))
+            warnings.simplefilter("error")
+            result = run_chaos(ChaosConfig(txns=4, fault_rate=0.0))
         assert result.ok
 
     def test_chaos_sweep_accepts_sweep_config(self):
-        table, failures = api.chaos_sweep(
-            SweepConfig(run=RunConfig(txns=4, fault_rate=0.0), seeds=2)
+        table, failures = chaos_sweep(
+            ChaosConfig(txns=4, fault_rate=0.0), seeds=range(2),
+            concurrencies=(4,),
         )
         assert not failures
         assert len(table.rows) == 2
 
-    def test_kwarg_shims_warn_and_point_at_caller(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = api.chaos(txns=4, fault_rate=0.0)
-        assert result.ok
-        assert caught[0].category is DeprecationWarning
-        assert caught[0].filename == __file__
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            api.chaos_sweep(range(1), txns=4, fault_rate=0.0)
-        assert caught[0].category is DeprecationWarning
-        assert caught[0].filename == __file__
-
-    def test_legacy_scenario_shims_point_at_caller(self):
-        # The PR 2 shims' stacklevel, pinned: the warning must name this
-        # file, not repro/sim/scenarios.py.
-        from repro.sim.scenarios import build_fig1, run_root_transaction
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            scenario = build_fig1()
-            run_root_transaction(scenario)
-        assert len(caught) == 2
-        assert all(w.category is DeprecationWarning for w in caught)
-        assert all(w.filename == __file__ for w in caught)
-
-    def test_config_mixing_rejected(self):
-        with pytest.raises(TypeError):
-            api.chaos(RunConfig(), txns=4)
-        with pytest.raises(TypeError):
-            api.chaos_sweep(SweepConfig(), txns=4)
+    def test_bench_rejects_chaos_flags(self, capsys):
+        args = build_parser().parse_args(["bench", "--smoke", "--seed", "9"])
+        assert args.seed == 9
+        # repro bench reads only --seed/--smoke/--workers/--json-out; any
+        # chaos flag is an argparse error instead of being ignored.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["bench", "--crash-rate", "0.5"])
+        assert exc.value.code == 2
 
 
 class TestChaosCheckpointing:
@@ -458,14 +424,18 @@ class TestChaosCheckpointing:
         with pytest.raises(ValueError, match="durability"):
             ChaosConfig(wal_batch=8)
 
-    def test_to_dict_elides_defaults(self):
+    def test_to_dict_is_complete_and_round_trips(self):
         plain = ChaosConfig(seed=1).to_dict()
-        assert "checkpoint_every" not in plain
-        assert "wal_batch" not in plain
+        assert plain["checkpoint_every"] == 0
+        assert plain["wal_batch"] == 1
+        assert set(plain) == set(ChaosConfig.__dataclass_fields__)
         tuned = self.CONFIG.to_dict()
         assert tuned["checkpoint_every"] == 3
         assert tuned["wal_batch"] == 3
         assert ChaosConfig.from_dict(tuned) == self.CONFIG
+        # Dicts that leave fields out (older repro files) still load.
+        del plain["checkpoint_every"], plain["wal_batch"]
+        assert ChaosConfig.from_dict(plain) == ChaosConfig(seed=1)
 
     def test_fault_event_elides_tear_flag(self):
         assert "tear_checkpoint" not in FaultEvent(kind="crash").to_dict()

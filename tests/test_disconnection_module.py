@@ -3,7 +3,7 @@
 
 import pytest
 
-from repro.sim.scenarios import build_fig2, run_root_transaction
+from repro.api import Cluster
 from repro.txn.disconnection import (
     CaseReport,
     run_case_a_leaf_disconnection,
@@ -22,10 +22,10 @@ class TestCaseReport:
 
 class TestCaseAReport:
     def test_report_fields_on_backward(self):
-        scenario = build_fig2()
-        run_root_transaction(scenario)
-        scenario.network.disconnect("AP6")
-        parent = scenario.peer("AP3")
+        cluster = Cluster.fig2()
+        cluster.run_topology()
+        cluster.network.disconnect("AP6")
+        parent = cluster.peer("AP3")
         txn = parent.begin_transaction()
         report = run_case_a_leaf_disconnection(parent, txn.txn_id, "AP6", "S6")
         assert report.case == "a"
@@ -35,10 +35,10 @@ class TestCaseAReport:
         assert "disconnections" not in report.metrics  # already dead before
 
     def test_metrics_delta_only(self):
-        scenario = build_fig2()
-        scenario.metrics.incr("messages", 100)  # pre-existing noise
-        scenario.network.disconnect("AP6")
-        parent = scenario.peer("AP3")
+        cluster = Cluster.fig2()
+        cluster.metrics.incr("messages", 100)  # pre-existing noise
+        cluster.network.disconnect("AP6")
+        parent = cluster.peer("AP3")
         txn = parent.begin_transaction()
         report = run_case_a_leaf_disconnection(parent, txn.txn_id, "AP6", "S6")
         # the delta excludes the pre-existing 100
@@ -47,12 +47,12 @@ class TestCaseAReport:
 
 class TestCaseBReport:
     def test_reuse_counted(self):
-        scenario = build_fig2(extra_peers=("APX",))
-        scenario.replication.replicate_service("S3", "APX")
-        scenario.replication.replicate_document("D3", "APX")
-        scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        txn, _ = run_root_transaction(scenario)
-        grandparent = scenario.peer("AP2")
+        cluster = Cluster.fig2(extra_peers=("APX",))
+        cluster.replication.replicate_service("S3", "APX")
+        cluster.replication.replicate_document("D3", "APX")
+        cluster.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
+        txn, _ = cluster.run_topology()
+        grandparent = cluster.peer("AP2")
         # run_root left AP2's context aborted (backward recovery ran);
         # start a new transaction to drive the replacement invocation.
         txn2 = grandparent.begin_transaction()
@@ -68,11 +68,11 @@ class TestCaseBReport:
         assert report.work_reused >= 1
 
     def test_unrecoverable_when_replacement_dead(self):
-        scenario = build_fig2(extra_peers=("APX",))
-        scenario.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
-        run_root_transaction(scenario)
-        scenario.network.disconnect("APX")
-        grandparent = scenario.peer("AP2")
+        cluster = Cluster.fig2(extra_peers=("APX",))
+        cluster.injector.disconnect_peer_during("AP3", "AP6", "S6", "after_local_work")
+        cluster.run_topology()
+        cluster.network.disconnect("APX")
+        grandparent = cluster.peer("AP2")
         txn2 = grandparent.begin_transaction()
         report = run_case_b_parent_disconnection(
             grandparent, txn2.txn_id, "AP3", "APX", "S3"

@@ -13,18 +13,19 @@ between and during them.  After the storm, invariants:
 
 import pytest
 
+from repro.api import Cluster
 from repro.errors import ReproError
 from repro.sim.rng import SeededRng
-from repro.sim.scenarios import FIG2_TOPOLOGY, build_topology
+from repro.sim.scenarios import FIG2_TOPOLOGY
 from repro.txn.transaction import TransactionState
 
 
 @pytest.mark.parametrize("seed", [1, 7, 23, 99])
 def test_transaction_storm(seed):
     rng = SeededRng(seed)
-    scenario = build_topology(FIG2_TOPOLOGY, super_peers=("AP1",))
-    network = scenario.network
-    origin = scenario.peer("AP1")
+    cluster = Cluster.from_topology(FIG2_TOPOLOGY, super_peers=("AP1",))
+    network = cluster.network
+    origin = cluster.peer("AP1")
     committed, aborted = [], []
 
     for round_index in range(30):
@@ -34,11 +35,11 @@ def test_transaction_storm(seed):
             if network.is_alive(victim):
                 network.disconnect(victim)
             else:
-                scenario.peer(victim).rejoin()
+                cluster.peer(victim).rejoin()
         # Random in-flight fault.
         if rng.coin(0.3):
             victim = rng.choice(["AP3", "AP4", "AP5", "AP6"])
-            scenario.injector.fault_service(
+            cluster.injector.fault_service(
                 victim, f"S{victim[2:]}", "Storm", times=1, point="after_execute"
             )
         txn = origin.begin_transaction()
@@ -65,11 +66,11 @@ def test_transaction_storm(seed):
     # transactions is impossible to check by txn id — markers are
     # anonymous — so we check the weaker but real invariant that marker
     # count never exceeds the committed-transaction count).
-    for peer_id, peer in scenario.peers.items():
+    for peer_id, peer in cluster.peers.items():
         if not network.is_alive(peer_id):
             peer.rejoin()
     network.events.run_until(network.clock.now + 1.0)
-    for peer_id, peer in scenario.peers.items():
+    for peer_id, peer in cluster.peers.items():
         if peer_id == "AP1":
             continue
         text = peer.get_axml_document(f"D{peer_id[2:]}").to_xml()
@@ -81,7 +82,7 @@ def test_transaction_storm(seed):
 
     # The system still works (leftover one-shot fault scripts whose peer
     # happened to be down when they were armed are cleared first).
-    scenario.injector.clear()
+    cluster.injector.clear()
     final = origin.begin_transaction()
     for child, method in FIG2_TOPOLOGY["AP1"]:
         origin.invoke(final.txn_id, child, method, {})

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
+from repro.api import Cluster
 from repro.sim.harness import ExperimentTable
-from repro.sim.scenarios import build_fig1, build_fig2, run_root_transaction
 
 
 def _by_id(spans):
@@ -21,11 +21,11 @@ def _by_id(spans):
 
 class TestHappyPathSpans:
     def test_span_tree_shape(self):
-        scenario = build_fig1()
-        txn, error = run_root_transaction(scenario)
+        cluster = Cluster.fig1()
+        txn, error = cluster.run_topology()
         assert error is None
-        scenario.peer("AP1").commit(txn.txn_id)
-        spans = scenario.network.spans
+        cluster.peer("AP1").commit(txn.txn_id)
+        spans = cluster.network.spans
 
         txn_spans = spans.by_kind("transaction")
         assert [s.status for s in txn_spans] == ["committed"]
@@ -51,18 +51,18 @@ class TestHappyPathSpans:
         assert len(nested) == 3
 
     def test_all_spans_closed_and_timed(self):
-        scenario = build_fig1()
-        txn, _ = run_root_transaction(scenario)
-        scenario.peer("AP1").commit(txn.txn_id)
-        spans = scenario.network.spans
+        cluster = Cluster.fig1()
+        txn, _ = cluster.run_topology()
+        cluster.peer("AP1").commit(txn.txn_id)
+        spans = cluster.network.spans
         assert spans.summary()["open"] == 0
         for span in spans.spans:
             assert span.duration is not None and span.duration >= 0
 
     def test_rpc_latency_histogram_populated(self):
-        scenario = build_fig1()
-        run_root_transaction(scenario)
-        metrics = scenario.metrics
+        cluster = Cluster.fig1()
+        cluster.run_topology()
+        metrics = cluster.metrics
         hist = metrics.histogram("rpc_latency")
         assert hist.count == 5
         assert metrics.p50("rpc_latency") is not None
@@ -73,22 +73,22 @@ class TestHappyPathSpans:
 
 class TestAbortPathSpans:
     def _aborted_run(self):
-        scenario = build_fig1()
-        scenario.injector.fault_service(
+        cluster = Cluster.fig1()
+        cluster.injector.fault_service(
             "AP5", "S5", "Crash", point="after_execute"
         )
-        txn, error = run_root_transaction(scenario)
+        txn, error = cluster.run_topology()
         assert error is not None
-        return scenario, txn
+        return cluster, txn
 
     def test_transaction_span_aborted(self):
-        scenario, txn = self._aborted_run()
-        txn_spans = scenario.network.spans.by_kind("transaction")
+        cluster, txn = self._aborted_run()
+        txn_spans = cluster.network.spans.by_kind("transaction")
         assert [s.status for s in txn_spans] == ["aborted"]
 
     def test_compensation_spans_nest_under_service(self):
-        scenario, txn = self._aborted_run()
-        spans = scenario.network.spans
+        cluster, txn = self._aborted_run()
+        spans = cluster.network.spans
         comps = spans.by_kind("compensation")
         assert comps, "abort must emit compensation spans"
         index = _by_id(spans)
@@ -101,30 +101,30 @@ class TestAbortPathSpans:
         assert all(c.status == "ok" for c in comps)
 
     def test_fault_statuses_recorded(self):
-        scenario, txn = self._aborted_run()
-        spans = scenario.network.spans
+        cluster, txn = self._aborted_run()
+        spans = cluster.network.spans
         assert any(s.status == "fault" for s in spans.by_kind("rpc"))
         assert any(s.status == "fault" for s in spans.by_kind("service"))
 
     def test_compensation_depth_histogram(self):
-        scenario, txn = self._aborted_run()
-        hist = scenario.metrics.histogram("compensation_depth")
+        cluster, txn = self._aborted_run()
+        hist = cluster.metrics.histogram("compensation_depth")
         assert hist.count > 0
         assert hist.max >= 1
 
 
 class TestDisconnectionSpans:
     def test_disconnected_status_and_detection_histogram(self):
-        scenario = build_fig2()
-        scenario.injector.disconnect_peer_during(
+        cluster = Cluster.fig2()
+        cluster.injector.disconnect_peer_during(
             "AP3", "AP6", "S6", "after_local_work"
         )
-        run_root_transaction(scenario)
-        spans = scenario.network.spans
+        cluster.run_topology()
+        spans = cluster.network.spans
         assert any(
             s.status == "disconnected" for s in spans.by_kind("rpc")
         )
-        metrics = scenario.metrics
+        metrics = cluster.metrics
         assert metrics.histogram("detection_latency").count == len(
             metrics.detections
         )
@@ -133,13 +133,13 @@ class TestDisconnectionSpans:
 
 class TestLiveRunExport:
     def test_metrics_and_spans_export_strict_json(self):
-        scenario = build_fig1()
-        scenario.injector.fault_service(
+        cluster = Cluster.fig1()
+        cluster.injector.fault_service(
             "AP5", "S5", "Crash", point="after_execute"
         )
-        run_root_transaction(scenario)
-        metrics_text = scenario.metrics.to_json()
-        spans_text = scenario.network.spans.to_json()
+        cluster.run_topology()
+        metrics_text = cluster.metrics.to_json()
+        spans_text = cluster.network.spans.to_json()
         for text in (metrics_text, spans_text):
             assert "Infinity" not in text and "NaN" not in text
             json.loads(text)

@@ -2,86 +2,86 @@
 
 import pytest
 
+from repro.api import Cluster
 from repro.p2p.streams import open_stream
-from repro.sim.scenarios import build_fig2, run_root_transaction
 
 
 def fig2_with_stream(chaining=True, interval=0.1):
     """Fig. 2 with AP3 streaming data to its sibling AP4."""
-    scenario = build_fig2(chaining=chaining)
-    txn, _ = run_root_transaction(scenario)
+    cluster = Cluster.fig2(chaining=chaining)
+    txn, _ = cluster.run_topology()
     stream = open_stream(
-        scenario.network,
+        cluster.network,
         txn.txn_id,
-        producer=scenario.peer("AP3"),
-        consumer=scenario.peer("AP4"),
+        producer=cluster.peer("AP3"),
+        consumer=cluster.peer("AP4"),
         interval=interval,
     )
-    return scenario, txn, stream
+    return cluster, txn, stream
 
 
 class TestHealthyStream:
     def test_data_flows(self):
-        scenario, txn, stream = fig2_with_stream()
-        scenario.network.events.run_until(1.05)
+        cluster, txn, stream = fig2_with_stream()
+        cluster.network.events.run_until(1.05)
         assert len(stream.received) >= 8
         assert not stream.silence_reported
 
     def test_sequence_monotone(self):
-        scenario, txn, stream = fig2_with_stream()
-        scenario.network.events.run_until(0.55)
+        cluster, txn, stream = fig2_with_stream()
+        cluster.network.events.run_until(0.55)
         sequences = [d.sequence for d in stream.received]
         assert sequences == sorted(sequences)
 
     def test_stop_ends_flow(self):
-        scenario, txn, stream = fig2_with_stream()
-        scenario.network.events.run_until(0.35)
+        cluster, txn, stream = fig2_with_stream()
+        cluster.network.events.run_until(0.35)
         count = len(stream.received)
         stream.stop()
-        scenario.network.events.run_until(2.0)
+        cluster.network.events.run_until(2.0)
         assert len(stream.received) == count
 
 
 class TestSilenceDetection:
     def test_producer_death_detected(self):
-        scenario, txn, stream = fig2_with_stream()
-        scenario.network.events.run_until(0.5)
-        scenario.network.disconnect("AP3")
-        scenario.network.events.run_until(3.0)
+        cluster, txn, stream = fig2_with_stream()
+        cluster.network.events.run_until(0.5)
+        cluster.network.disconnect("AP3")
+        cluster.network.events.run_until(3.0)
         assert stream.silence_reported
-        assert scenario.metrics.get("stream_silences") == 1
+        assert cluster.metrics.get("stream_silences") == 1
 
     def test_detection_triggers_chain_notices(self):
         """The silent sibling's parent (AP2) and child (AP6) learn of the
         death through AP4's chain — the §3.3(d) protocol."""
-        scenario, txn, stream = fig2_with_stream()
-        scenario.network.events.run_until(0.5)
-        scenario.network.disconnect("AP3")
-        scenario.network.events.run_until(3.0)
-        assert txn.txn_id in scenario.peer("AP2").known_doomed
-        assert txn.txn_id in scenario.peer("AP6").known_doomed
+        cluster, txn, stream = fig2_with_stream()
+        cluster.network.events.run_until(0.5)
+        cluster.network.disconnect("AP3")
+        cluster.network.events.run_until(3.0)
+        assert txn.txn_id in cluster.peer("AP2").known_doomed
+        assert txn.txn_id in cluster.peer("AP6").known_doomed
 
     def test_naive_consumer_cannot_notify(self):
-        scenario, txn, stream = fig2_with_stream(chaining=False)
-        scenario.network.events.run_until(0.5)
-        scenario.network.disconnect("AP3")
-        scenario.network.events.run_until(3.0)
+        cluster, txn, stream = fig2_with_stream(chaining=False)
+        cluster.network.events.run_until(0.5)
+        cluster.network.disconnect("AP3")
+        cluster.network.events.run_until(3.0)
         assert stream.silence_reported
-        assert txn.txn_id not in scenario.peer("AP6").known_doomed
+        assert txn.txn_id not in cluster.peer("AP6").known_doomed
 
     def test_detection_latency_bounded(self):
-        scenario, txn, stream = fig2_with_stream(interval=0.1)
-        scenario.network.events.run_until(0.5)
-        scenario.network.disconnect("AP3")
-        scenario.network.events.run_until(3.0)
-        latency = scenario.metrics.detection_latency("AP3")
+        cluster, txn, stream = fig2_with_stream(interval=0.1)
+        cluster.network.events.run_until(0.5)
+        cluster.network.disconnect("AP3")
+        cluster.network.events.run_until(3.0)
+        latency = cluster.metrics.detection_latency("AP3")
         # one interval of missing data + the grace factor, roughly
         assert latency < 0.5
 
     def test_dead_consumer_stops_checking(self):
-        scenario, txn, stream = fig2_with_stream()
-        scenario.network.events.run_until(0.3)
-        scenario.network.disconnect("AP4")
-        scenario.network.disconnect("AP3")
-        scenario.network.events.run_until(3.0)
+        cluster, txn, stream = fig2_with_stream()
+        cluster.network.events.run_until(0.3)
+        cluster.network.disconnect("AP4")
+        cluster.network.disconnect("AP3")
+        cluster.network.events.run_until(3.0)
         assert not stream.silence_reported

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.axml.document import AXMLDocument
-from repro.axml.materialize import InvocationOutcome
+from repro.outcome import Outcome
 from repro.errors import ServiceError, ServiceFault, ServiceNotFound
 from repro.services.descriptor import ParamSpec, ServiceDescriptor
 from repro.services.registry import ServiceRegistry
@@ -99,7 +99,7 @@ class TestQueryService:
         )
         host = StubHost(
             documents={"Shop": doc},
-            resolver=lambda call, params: InvocationOutcome(["<stock>5</stock>"]),
+            resolver=lambda call, params: Outcome(["<stock>5</stock>"]),
         )
         service = QueryService(
             ServiceDescriptor("getStock", kind="query"),
