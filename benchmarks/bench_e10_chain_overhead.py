@@ -3,7 +3,9 @@
 §3.3's protocol piggybacks the active-peer list on every invocation.
 The paper asserts the benefit (E5/F2 measure it); this bench quantifies
 the *cost* in the failure-free case: extra bytes per invocation and the
-growth of the chain text with tree size.
+growth of the chain text with tree size.  The simulator carries the
+chain as a structure; its size is counted as the length of the carried
+snapshot in the paper's bracket notation (``PeerChain.to_text``).
 
 Shape being checked: per-invocation chain text grows roughly linearly
 with the number of peers already enlisted (the serialized tree), total
@@ -24,7 +26,8 @@ from _util import publish
 
 
 class _ByteCounter:
-    """Wraps network.rpc to sum chain-text payload bytes."""
+    """Wraps network.rpc to sum the piggybacked chains' bytes, each
+    counted as the length of its paper-notation text."""
 
     def __init__(self, network):
         self.network = network
@@ -36,12 +39,16 @@ class _ByteCounter:
 
     def _rpc(self, source_id, target_id, request: InvokeRequest):
         self.invocations += 1
-        size = len(request.chain_text)
+        size = _chain_bytes(request.chain)
         self.total_chain_bytes += size
         self.max_chain_bytes = max(self.max_chain_bytes, size)
         result = self._original(source_id, target_id, request)
-        self.total_chain_bytes += len(result.chain_text)
+        self.total_chain_bytes += _chain_bytes(result.chain)
         return result
+
+
+def _chain_bytes(chain) -> int:
+    return 0 if chain is None else len(chain.to_text())
 
 
 def run_point(depth: int, seed: int = 31):

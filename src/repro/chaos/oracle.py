@@ -232,7 +232,7 @@ class AtomicityOracle:
     def _replication(peers: Mapping[str, object]):
         """The cluster's replication map, if any (via any peer's network)."""
         for peer in peers.values():
-            return getattr(peer.network, "replication", None)
+            return peer.network.replication
         return None
 
     @staticmethod

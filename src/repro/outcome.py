@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, ClassVar, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.p2p.chain import PeerChain
 
 
 class OutcomeStatus(enum.Enum):
@@ -40,7 +43,8 @@ class Outcome:
     ``(provider_peer, plan_xml)`` compensating-service definitions under
     peer-independent compensation (§3.2); ``compensating_definition`` is
     the single-definition slot the resolver path uses.
-    ``chain_text`` is the provider's final active-peer chain view (§3.3).
+    ``chain`` is a snapshot of the provider's final active-peer chain
+    view (§3.3), ``None`` when chaining is off.
 
     Instances are frozen: a result is a value, not a mutable message —
     construct a new one instead of editing in place.
@@ -54,7 +58,7 @@ class Outcome:
     status: OutcomeStatus = OutcomeStatus.OK
     compensations: Sequence[Tuple[str, str]] = field(default_factory=tuple)
     nodes_affected: int = 0
-    chain_text: str = ""
+    chain: Optional["PeerChain"] = None
     compensating_definition: Optional[str] = None
 
     @property
@@ -77,6 +81,6 @@ class Outcome:
             status=status,
             compensations=self.compensations,
             nodes_affected=self.nodes_affected,
-            chain_text=self.chain_text,
+            chain=self.chain,
             compensating_definition=self.compensating_definition,
         )

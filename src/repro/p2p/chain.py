@@ -9,15 +9,18 @@ every invocation so that *any* peer detecting a disconnection can route
 around it: children find their grandparent or the closest super peer,
 parents find the orphaned descendants, siblings find everybody.
 
-The bracket notation round-trips through :meth:`PeerChain.to_text` /
-:meth:`PeerChain.from_text` (we write ``->`` for the arrow); super peers
-carry the paper's ``*`` suffix.
+The chain travels as a structure: the sender piggybacks a
+:meth:`PeerChain.copy` snapshot on each invocation and result, and a
+receiver that keeps the carried chain copies it again, so no two peers
+ever share a node tree.  :meth:`PeerChain.to_text` renders the paper's
+bracket notation (we write ``->`` for the arrow, super peers carry the
+``*`` suffix) for display and size accounting; nothing parses it back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from repro.errors import P2PError
 
@@ -214,7 +217,7 @@ class PeerChain:
         node.parent = None
         return True
 
-    # -- serialization (piggybacked on invocations) -----------------------------
+    # -- the paper's notation, snapshots and merging ---------------------------
 
     def to_text(self) -> str:
         return f"[{self._format(self.root)}]"
@@ -226,14 +229,6 @@ class PeerChain:
             return f"{node.label} -> {self._format(node.children[0])}"
         parts = " || ".join(f"[{self._format(c)}]" for c in node.children)
         return f"{node.label} -> {parts}"
-
-    @classmethod
-    def from_text(cls, text: str) -> "PeerChain":
-        parser = _ChainParser(text)
-        root = parser.parse()
-        chain = cls.__new__(cls)
-        chain.root = root
-        return chain
 
     def merge(self, other: "PeerChain") -> int:
         """Fold *other*'s edges into this chain; returns edges added.
@@ -257,13 +252,8 @@ class PeerChain:
         return added
 
     def copy(self) -> "PeerChain":
-        """Independent deep copy of the chain.
-
-        A direct structural copy of the node tree — equivalent to (and
-        pinned against, in ``tests/test_p2p_chain.py``) the historical
-        ``from_text``-of-``to_text`` round trip, without the
-        format/parse cost on every piggybacked invocation.
-        """
+        """Independent deep copy of the chain: the snapshot piggybacked
+        on every invocation and result."""
         chain = PeerChain.__new__(PeerChain)
         chain.root = _copy_chain_node(self.root, None)
         return chain
@@ -279,71 +269,3 @@ def _copy_chain_node(
     copy.children = [_copy_chain_node(child, copy) for child in node.children]
     return copy
 
-
-class _ChainParser:
-    """Recursive-descent parser for the bracket notation."""
-
-    def __init__(self, text: str):
-        self.text = text.strip()
-        self.pos = 0
-
-    def parse(self) -> ChainNode:
-        self._expect("[")
-        node = self._parse_node()
-        self._expect("]")
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise P2PError(f"trailing characters in chain text: {self.text!r}")
-        return node
-
-    def _parse_node(self) -> ChainNode:
-        label = self._parse_label()
-        super_peer = label.endswith("*")
-        node = ChainNode(label.rstrip("*"), super_peer)
-        self._skip_ws()
-        if self.text.startswith("->", self.pos):
-            self.pos += 2
-            self._skip_ws()
-            if self.text.startswith("[", self.pos):
-                while True:
-                    self._expect("[")
-                    child = self._parse_node()
-                    self._expect("]")
-                    child.parent = node
-                    node.children.append(child)
-                    self._skip_ws()
-                    if self.text.startswith("||", self.pos):
-                        self.pos += 2
-                        self._skip_ws()
-                    else:
-                        break
-            else:
-                child = self._parse_node()
-                child.parent = node
-                node.children.append(child)
-        return node
-
-    def _parse_label(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_-*."
-        ):
-            self.pos += 1
-        if start == self.pos:
-            raise P2PError(
-                f"expected a peer label at position {self.pos} in {self.text!r}"
-            )
-        return self.text[start : self.pos]
-
-    def _expect(self, token: str) -> None:
-        self._skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise P2PError(
-                f"expected {token!r} at position {self.pos} in {self.text!r}"
-            )
-        self.pos += len(token)
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1

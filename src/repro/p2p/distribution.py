@@ -110,7 +110,7 @@ def distribute_fragment(
             f"Select f from f in {fragment_doc_name};",
         )
     )
-    replication = getattr(owner.network, "replication", None)
+    replication = owner.network.replication
     if replication is not None:
         replication.register_primary(fragment_doc_name, target.peer_id)
         replication.register_service(method_name, target.peer_id)

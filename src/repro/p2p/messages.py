@@ -15,7 +15,10 @@ already used.  :func:`message_kind` resolves it for any message object.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, ClassVar, Dict, List, Optional, Sequence
+
+if TYPE_CHECKING:
+    from repro.p2p.chain import PeerChain
 
 
 def message_kind(message: object) -> str:
@@ -34,8 +37,8 @@ def message_kind(message: object) -> str:
 class InvokeRequest:
     """A service invocation: "Invoke method M for transaction T".
 
-    ``chain_text`` piggybacks the active-peer chain (§3.3); empty when
-    chaining is disabled (the naive baseline).
+    ``chain`` piggybacks a snapshot of the sender's active-peer chain
+    (§3.3); ``None`` when chaining is disabled (the naive baseline).
     """
 
     KIND: ClassVar[str] = "invoke"
@@ -45,7 +48,7 @@ class InvokeRequest:
     sender: str
     method_name: str
     params: Dict[str, str] = field(default_factory=dict)
-    chain_text: str = ""
+    chain: Optional["PeerChain"] = None
     #: Pre-materialized parameter results reused from an orphaned child
     #: (§3.3b: "passing the materialized results directly while invoking
     #: S3 on APX").

@@ -70,6 +70,9 @@ class SimNetwork:
         #: :class:`~repro.p2p.sharding.PlacementDirectory` on
         #: construction); routing layers consult it when present.
         self.directory = None
+        #: The :class:`~repro.p2p.replication.ReplicationManager` (set by
+        #: its constructor); ``None`` when nothing is replicated.
+        self.replication = None
         #: Run-scoped fragment serial (see :func:`next_fragment_serial`):
         #: a module-global counter here would leak across sweep cells in
         #: one process while forked parallel workers start fresh,

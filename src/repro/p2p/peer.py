@@ -378,7 +378,7 @@ class AXMLPeer:
         """
         self._check_alive()
         params = dict(params or {})
-        directory = getattr(self.network, "directory", None)
+        directory = self.network.directory
         if directory is not None:
             # Shard-placed methods follow the placement directory, not
             # the (possibly stale) static target — delegations written
@@ -421,7 +421,7 @@ class AXMLPeer:
                 sender=self.peer_id,
                 method_name=method_name,
                 params=params,
-                chain_text=chain.to_text() if (chain is not None and self.chaining) else "",
+                chain=chain.copy() if (chain is not None and self.chaining) else None,
                 reused_fragments=reuse,
             )
             self.network.metrics.record_invocation()
@@ -454,10 +454,10 @@ class AXMLPeer:
             edge.completed = True
             for provider, plan_xml in result.compensations:
                 context.record_compensation_definition(provider, plan_xml)
-            if result.chain_text and chain is not None and self.chaining:
+            if result.chain is not None and chain is not None and self.chaining:
                 # Fold the callee's deeper invocations into our view so later
                 # siblings receive the complete active-peer list (§3.3).
-                chain.merge(PeerChain.from_text(result.chain_text))
+                chain.merge(result.chain)
             if chain is not None and self.chaining:
                 self.network.metrics.record_value("chain_length", len(chain.peers()))
             self.network.metrics.record_forward_cost(result.nodes_affected)
@@ -525,7 +525,7 @@ class AXMLPeer:
         Nothing ships when the commit raises (OCC conflict) or when the
         share was already settled.
         """
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         entries = ()
         if (
             replication is not None
@@ -574,7 +574,7 @@ class AXMLPeer:
     def _apply_peer_independent(self, context: TransactionContext) -> bool:
         """Send compensating definitions to providers (newest first)."""
         complete = True
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         for provider, plan_xml in reversed(context.received_compensations):
             message = CompensationRequest(context.txn_id, plan_xml, self.peer_id)
             if self.network.notify(self.peer_id, provider, message):
@@ -643,8 +643,9 @@ class AXMLPeer:
         context = self.manager.begin(
             transaction, parent_peer=request.sender, service_name=request.method_name
         )
-        if request.chain_text:
-            self.chains[request.txn_id] = PeerChain.from_text(request.chain_text)
+        if request.chain is not None:
+            # Keep a private copy: the carried snapshot belongs to the message.
+            self.chains[request.txn_id] = request.chain.copy()
         for method, fragments in request.reused_fragments.items():
             self._incoming_reuse[(request.txn_id, method)] = list(fragments)
         span = self.network.spans.start(
@@ -701,11 +702,9 @@ class AXMLPeer:
                 provider_peer=self.peer_id,
                 compensations=compensations,
                 nodes_affected=response.nodes_affected,
-                chain_text=(
-                    my_chain.to_text() if (my_chain and self.chaining) else ""
-                ),
+                chain=my_chain.copy() if (my_chain and self.chaining) else None,
             )
-            replication = getattr(self.network, "replication", None)
+            replication = self.network.replication
             if replication is not None and replication.is_replicated_method(
                 request.method_name
             ):
@@ -813,7 +812,7 @@ class AXMLPeer:
                 sender=self.peer_id,
                 method_name=method,
                 params=p,
-                chain_text=chain.to_text() if (chain and self.chaining) else "",
+                chain=chain.copy() if (chain and self.chaining) else None,
                 reused_fragments=reuse,
             )
             self.network.metrics.record_invocation()
@@ -830,7 +829,7 @@ class AXMLPeer:
         # replicated, and only when the policy names no explicit
         # alternative (an explicit ``axml:sc`` replica always wins).
         select_alternative = None
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         if replication is not None and not policy.alternative_peer:
             select_alternative = replication.failover_selector(
                 target_peer, method_name
@@ -1115,11 +1114,11 @@ class AXMLPeer:
                     context.record_compensation_definition(provider, plan_xml)
             self.network.metrics.incr("redirected_results_received")
         elif isinstance(message, WalShipMessage):
-            replication = getattr(self.network, "replication", None)
+            replication = self.network.replication
             if replication is not None:
                 replication.on_ship(self.peer_id, message)
         elif isinstance(message, WalShipAck):
-            replication = getattr(self.network, "replication", None)
+            replication = self.network.replication
             if replication is not None:
                 replication.on_ack(self.peer_id, message)
 
@@ -1247,9 +1246,7 @@ class AXMLPeer:
     # ------------------------------------------------------------------
 
     def rejoin(
-        self,
-        restored_log_text: Optional[str] = None,
-        mode: Union[str, RejoinMode] = RejoinMode.COMPENSATE,
+        self, mode: Union[str, RejoinMode] = RejoinMode.COMPENSATE
     ) -> int:
         """Rejoin the network, compensating in-flight transactions.
 
@@ -1259,12 +1256,11 @@ class AXMLPeer:
         every local share that never saw a commit — its log has
         everything needed (§3.1's logging discipline pays off here).
 
-        ``restored_log_text`` replays a log serialized with
-        :meth:`repro.txn.wal.OperationLog.to_text`; with no text but a
-        durable WAL attached (``durability=``), the log is recovered
-        from disk (:meth:`repro.txn.durable_wal.DurableWal.reload`) —
-        the restart-from-disk story, where in-memory contexts are gone
-        but the log survives.
+        With a durable WAL attached (``durability=``), the log is
+        recovered from disk (:meth:`repro.txn.durable_wal.DurableWal.reload`)
+        — the restart-from-disk story, where in-memory contexts are gone
+        but the log survives.  Without one, every active share is
+        aborted locally from the in-memory log.
 
         ``mode`` (a :class:`~repro.txn.modes.RejoinMode`; the old
         strings are coerced) decides what happens to the recovered
@@ -1295,10 +1291,7 @@ class AXMLPeer:
         self.network.reconnect(self.peer_id)
         self.disconnected = False
         compensated = 0
-        restored = None
-        if restored_log_text is not None:
-            restored = OperationLog.from_text(restored_log_text)
-        elif self.wal is not None:
+        if self.wal is not None:
             restored = OperationLog.from_entries(
                 self.peer_id, self.wal.reload()
             )
@@ -1310,7 +1303,6 @@ class AXMLPeer:
                         self.documents[name] = AXMLDocument.from_xml(
                             xml, name=name
                         )
-        if restored is not None:
             self.manager.log = restored
             txn_ids = sorted({entry.txn_id for entry in restored})
             if mode is RejoinMode.IN_DOUBT:
@@ -1349,7 +1341,7 @@ class AXMLPeer:
                 self.manager.abort_local(txn_id)
                 compensated += 1
         self.network.metrics.incr("peer_rejoins")
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         if replication is not None:
             # Replica copies on this peer may have missed ships while it
             # was gone; schedule them for a settlement resync.

@@ -357,12 +357,12 @@ class TransactionScheduler:
         *now* (possibly mid-migration).  Non-sharded methods fall
         through with ``route_service`` returning ``None``.
         """
-        directory = getattr(self.network, "directory", None)
+        directory = self.network.directory
         if directory is not None:
             routed = directory.route_service(operation.method_name)
             if routed is not None:
                 return routed
-        replication = getattr(self.network, "replication", None)
+        replication = self.network.replication
         if replication is None:
             return operation.target_peer
         if self.network.is_alive(operation.target_peer):

@@ -104,8 +104,6 @@ class TransactionContext:
         #: (peer-independent compensation, §3.2): provider peer →
         #: serialized CompensationPlan XML, in receipt order.
         self.received_compensations: List[tuple] = []
-        #: The active-peer chain as known to this peer (§3.3).
-        self.chain_text: str = ""
 
     @property
     def txn_id(self) -> str:

@@ -6,12 +6,14 @@ possible: "the delete operations as well as the results of the
 operations log the returned node ids, and query operations log the
 change records of every service-call materialization they triggered.
 
-The log is append-only.  It lives in memory, round-trips through a text
-form (:meth:`OperationLog.to_text` / :meth:`OperationLog.from_text`),
-and can be made crash-durable by attaching a :class:`LogSink` — see
+The log is append-only and lives in memory.  Its one persistent form is
+the per-entry frame codec (:func:`entry_to_xml` / :func:`entry_from_xml`)
+shared by the durable WAL, checkpoints and replication ships; attaching
+a :class:`LogSink` makes it crash-durable — see
 :mod:`repro.txn.durable_wal`, which streams every entry to disk at
 append time so a peer that dies mid-transaction can rebuild its log on
-restart and compensate from it (``AXMLPeer.rejoin``).
+restart (:meth:`OperationLog.from_entries`) and compensate from it
+(``AXMLPeer.rejoin``).
 """
 
 from __future__ import annotations
@@ -169,54 +171,20 @@ class OperationLog:
             )
         return "\n".join(lines)
 
-    # -- persistence ---------------------------------------------------------
-
-    def to_text(self) -> str:
-        """Serialize the full log as an XML document.
-
-        Together with :meth:`from_text` this gives peers a restart
-        story: a peer that went down with in-flight transactions can
-        reload its log and compensate them on rejoin (see
-        ``AXMLPeer.rejoin``).  The encoding dogfoods the library's own
-        XML layer.
-        """
-        from repro.xmlstore.nodes import Document
-        from repro.xmlstore.serializer import serialize
-
-        doc = Document("log")
-        root = doc.create_root("log")
-        root.attributes["peer"] = self.peer_id
-        for entry in self._entries:
-            entry_el = root.new_element("entry", _entry_attrs(entry))
-            _fill_entry_element(entry_el, entry)
-        return serialize(doc)
-
-    @classmethod
-    def from_text(cls, text: str) -> "OperationLog":
-        """Restore a log serialized by :meth:`to_text`.
-
-        Entries are re-ordered by ``seq`` — ``undo_entries`` must
-        compensate in true reverse execution order even when the text
-        was merged or reordered in transit — and duplicate seqs are
-        rejected (two entries claiming the same position cannot both be
-        replayed).
-        """
-        from repro.xmlstore.parser import parse_document
-
-        root = parse_document(text, name="log").root
-        with _frame_errors():
-            _expect(root, "log", _LOG_ATTRS, ("entry",))
-            entries = [_entry_from_element(entry_el) for entry_el in root.children]
-        return cls.from_entries(root.attributes["peer"], entries)
+    # -- restore ---------------------------------------------------------------
 
     @classmethod
     def from_entries(
         cls, peer_id: str, entries: Sequence[LogEntry]
     ) -> "OperationLog":
-        """A log adopting *entries* (sorted by seq, duplicates rejected),
-        with ``append`` continuing after the highest adopted seq."""
-        import itertools as _itertools
+        """A log adopting *entries*, with ``append`` continuing after the
+        highest adopted seq.
 
+        Entries are sorted by ``seq`` — ``undo_entries`` must compensate
+        in true reverse execution order whatever order the frames were
+        recovered in — and duplicate seqs are rejected (two entries
+        claiming the same position cannot both be replayed).
+        """
         log = cls(peer_id)
         ordered = sorted(entries, key=lambda e: e.seq)
         seen = set()
@@ -228,29 +196,13 @@ class OperationLog:
             seen.add(entry.seq)
         log._entries = list(ordered)
         max_seq = ordered[-1].seq if ordered else 0
-        log._seq = _itertools.count(max_seq + 1)
+        log._seq = itertools.count(max_seq + 1)
         return log
 
 
 # ---------------------------------------------------------------------------
-# single-entry XML codec (shared by to_text/from_text and the durable WAL)
+# single-entry XML codec (the durable WAL, checkpoints and ship frames)
 # ---------------------------------------------------------------------------
-
-def _entry_attrs(entry: LogEntry) -> dict:
-    return {
-        "seq": str(entry.seq),
-        "txn": entry.txn_id,
-        "kind": entry.kind,
-        "document": entry.document_name,
-        "timestamp": repr(float(entry.timestamp)),
-    }
-
-
-def _fill_entry_element(entry_el, entry: LogEntry) -> None:
-    entry_el.new_element("forward").new_text(entry.action_xml)
-    for record in entry.records:
-        _record_to_element(entry_el, record)
-
 
 # Decoding is strict: a frame is accepted only if nothing in it would be
 # dropped or re-spelled by a decode/encode round trip - exactly the
@@ -258,7 +210,6 @@ def _fill_entry_element(entry_el, entry: LogEntry) -> None:
 # skip, and numbers and node ids in the encoder's own spelling.  Anything
 # else raises XmlParseError, the codec's one rejection.
 
-_LOG_ATTRS = frozenset({"peer"})
 _ENTRY_ATTRS = frozenset({"seq", "txn", "kind", "document", "timestamp"})
 _RECORD_ATTRS = {
     "delete": frozenset({"kind", "node", "parent", "index", "before", "after"}),
@@ -337,8 +288,18 @@ def entry_to_xml(entry: LogEntry) -> str:
         return entry._xml_cache
     doc = Document("entry")
     root = doc.create_root("entry")
-    root.attributes.update(_entry_attrs(entry))
-    _fill_entry_element(root, entry)
+    root.attributes.update(
+        {
+            "seq": str(entry.seq),
+            "txn": entry.txn_id,
+            "kind": entry.kind,
+            "document": entry.document_name,
+            "timestamp": repr(float(entry.timestamp)),
+        }
+    )
+    root.new_element("forward").new_text(entry.action_xml)
+    for record in entry.records:
+        _record_to_element(root, record)
     text = serialize(doc)
     if use_cache:
         PROF.incr("entry_codec_misses")

@@ -12,36 +12,54 @@ from repro.query.parser import parse_select
 from repro.xmlstore.parser import parse_document
 
 
+def build(root: str, *edges) -> PeerChain:
+    """A chain rooted at *root*, grown by ``add_invocation`` over *edges*
+    — ``(parent, child)`` or ``(parent, child, child_super)`` tuples."""
+    chain = PeerChain(root)
+    for edge in edges:
+        chain.add_invocation(*edge)
+    return chain
+
+
 class TestChainMerge:
     def test_merge_adds_deeper_edges(self):
-        mine = PeerChain.from_text("[A -> B]")
-        theirs = PeerChain.from_text("[A -> B -> [C] || [D]]")
+        mine = build("A", ("A", "B"))
+        theirs = build("A", ("A", "B"), ("B", "C"), ("B", "D"))
+        assert theirs.to_text() == "[A -> B -> [C] || [D]]"
         added = mine.merge(theirs)
         assert added == 2
         assert mine.children_of("B") == ["C", "D"]
 
     def test_merge_idempotent(self):
-        mine = PeerChain.from_text("[A -> B -> C]")
-        assert mine.merge(PeerChain.from_text("[A -> B -> C]")) == 0
+        mine = build("A", ("A", "B"), ("B", "C"))
+        assert mine.merge(build("A", ("A", "B"), ("B", "C"))) == 0
 
     def test_merge_skips_unknown_parents(self):
-        mine = PeerChain.from_text("[A]")
-        theirs = PeerChain.from_text("[X -> Y]")
+        mine = build("A")
+        theirs = build("X", ("X", "Y"))
         assert mine.merge(theirs) == 0
         assert not mine.contains("Y")
 
     def test_merge_preserves_super_flags(self):
-        mine = PeerChain.from_text("[A -> B]")
-        theirs = PeerChain.from_text("[A -> B -> C*]")
+        mine = build("A", ("A", "B"))
+        theirs = build("A", ("A", "B"), ("B", "C", True))
+        assert theirs.to_text() == "[A -> B -> C*]"
         mine.merge(theirs)
         assert mine.find("C").super_peer
 
     def test_merge_partial_overlap(self):
-        mine = PeerChain.from_text("[A -> [B] || [C]]")
-        theirs = PeerChain.from_text("[A -> B -> B1]")
+        mine = build("A", ("A", "B"), ("A", "C"))
+        theirs = build("A", ("A", "B"), ("B", "B1"))
         assert mine.merge(theirs) == 1
         assert mine.children_of("B") == ["B1"]
         assert mine.children_of("A") == ["B", "C"]
+
+    def test_merge_only_reads_the_other_chain(self):
+        mine = build("A", ("A", "B"))
+        theirs = build("A", ("A", "B"), ("B", "C"))
+        mine.merge(theirs)
+        mine.add_invocation("C", "D")
+        assert theirs.peers() == ["A", "B", "C"]
 
 
 class TestResultNames:

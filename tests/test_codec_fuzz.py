@@ -1,9 +1,10 @@
 """Decoder fuzzing for the log-entry XML codec.
 
-Frames come from :func:`entry_to_xml` and :meth:`OperationLog.to_text`;
-hypothesis truncates them, flips or overwrites single bytes, and splices
-two frames together.  Every mutated input must either be rejected with
-:class:`XmlParseError` (``from_text`` may also give its documented
+Frames come from :func:`entry_to_xml`, alone or as the frame sequence a
+whole log persists as; hypothesis truncates them, flips or overwrites
+single bytes, and splices two frames together.  Every mutated input must
+either be rejected with :class:`XmlParseError` (restoring a log with
+:meth:`OperationLog.from_entries` may also give its documented
 duplicate-seq ``ValueError``) or decode *exactly*: the decoded value,
 encoded again, is the same XML tree as the input.  The codec carries no
 checksum, so a flip inside a value yields a different but exactly
@@ -103,19 +104,20 @@ def check_entry_frame(text: str) -> None:
     assert _tree(entry_to_xml(entry)) == _tree(text)
 
 
-def check_log_text(text: str) -> None:
+def check_log_frames(peer: str, frames) -> None:
     try:
-        log = OperationLog.from_text(text)
+        log = OperationLog.from_entries(
+            peer, [entry_from_xml(frame) for frame in frames]
+        )
     except XmlParseError:
         return
     except ValueError as exc:
         assert "duplicate log seq" in str(exc)
         return
-    root = parse_document(text).root
-    assert log.peer_id == root.attributes["peer"]
-    # from_text re-orders entries by seq, so compare them as a multiset.
-    decoded = sorted(canonical(parse_document(entry_to_xml(e)).root) for e in log)
-    assert decoded == sorted(canonical(element) for element in root.children)
+    assert log.peer_id == peer
+    # from_entries re-orders entries by seq, so compare them as a multiset.
+    decoded = sorted(_tree(entry_to_xml(e)) for e in log)
+    assert decoded == sorted(_tree(frame) for frame in frames)
 
 
 def _log(peer: str, items) -> OperationLog:
@@ -144,19 +146,26 @@ class TestEntryFrames:
 
 
 class TestLogText:
+    """A whole log persists as the sequence of its entries' frames."""
+
     @given(_word, st.lists(entries, max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_unmutated_log_roundtrips(self, peer, items):
         log = _log(peer, items)
-        restored = OperationLog.from_text(log.to_text())
+        frames = [entry_to_xml(entry) for entry in log]
+        restored = OperationLog.from_entries(
+            peer, [entry_from_xml(frame) for frame in frames]
+        )
         assert restored.peer_id == peer
         assert list(restored) == list(log)
 
     @given(_word, st.lists(entries, min_size=1, max_size=3), entries, st.data())
     @settings(max_examples=150, deadline=None, phases=_PHASES)
     def test_mutated_log_rejected_or_exact(self, peer, items, other, data):
-        text = _log(peer, items).to_text()
-        check_log_text(data.draw(mutations(text, _log(peer, [other]).to_text())))
+        frames = [entry_to_xml(entry) for entry in _log(peer, items)]
+        index = data.draw(st.integers(0, len(frames) - 1))
+        frames[index] = data.draw(mutations(frames[index], entry_to_xml(other)))
+        check_log_frames(peer, frames)
 
 
 _FRAME = (

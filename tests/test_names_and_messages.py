@@ -63,14 +63,14 @@ class TestMessages:
     def test_invoke_request_defaults(self):
         request = InvokeRequest("T1", "O", "S", "m")
         assert request.params == {}
-        assert request.chain_text == ""
+        assert request.chain is None
         assert request.reused_fragments == {}
 
     def test_invoke_result_defaults(self):
         result = Outcome()
         assert list(result.fragments) == []
         assert list(result.compensations) == []
-        assert result.chain_text == ""
+        assert result.chain is None
         assert result.status is OutcomeStatus.OK
 
     def test_invoke_result_is_the_unified_outcome(self):

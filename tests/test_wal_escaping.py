@@ -5,8 +5,15 @@ import pytest
 from repro.axml.document import AXMLDocument
 from repro.query.parser import parse_action
 from repro.txn.operations import TransactionalOperation, build_compensation
-from repro.txn.wal import OperationLog
+from repro.txn.wal import OperationLog, entry_from_xml, entry_to_xml
 from repro.xmlstore.serializer import canonical
+
+
+def reencode(log: OperationLog) -> OperationLog:
+    """*log* written as WAL frames and restored from them."""
+    return OperationLog.from_entries(
+        log.peer_id, [entry_from_xml(entry_to_xml(entry)) for entry in log]
+    )
 
 
 def test_snapshot_with_entities_roundtrips():
@@ -24,7 +31,7 @@ def test_snapshot_with_entities_roundtrips():
             "Shop//item;</location></action>"
         ),
     ).execute(axml, None, log)
-    restored = OperationLog.from_text(log.to_text())
+    restored = reencode(log)
     snapshot = restored.entries_for("T1")[0].records[0].snapshot_xml
     assert "&amp;" in snapshot  # still-escaped content inside the snapshot
     for plan in build_compensation(restored, "T1"):
@@ -44,7 +51,7 @@ def test_action_xml_with_quotes_roundtrips():
             "<location>Select d from d in D;</location></action>"
         ),
     ).execute(axml, None, log)
-    restored = OperationLog.from_text(log.to_text())
+    restored = reencode(log)
     entry = restored.entries_for("T1")[0]
     assert entry.action_xml == log.entries_for("T1")[0].action_xml
 
@@ -59,7 +66,7 @@ def test_replace_record_with_multiple_inserts_roundtrips():
             "<location>Select i/v from i in D//item;</location></action>"
         ),
     ).execute(axml, None, log)
-    restored = OperationLog.from_text(log.to_text())
+    restored = reencode(log)
     record = restored.entries_for("T1")[0].records[0]
     assert record.kind == "replace"
     assert len(record.inserted) == 2
@@ -80,6 +87,6 @@ def test_deep_subtree_snapshot_roundtrips():
             "</location></action>"
         ),
     ).execute(axml, None, log)
-    for plan in build_compensation(OperationLog.from_text(log.to_text()), "T1"):
+    for plan in build_compensation(reencode(log), "T1"):
         plan.execute(axml.document)
     assert canonical(axml.document) == pre
