@@ -9,7 +9,7 @@ injection, super peers, document/service replication, and the
 active-peer chains of §3.3.
 """
 
-from repro.p2p.chain import ChainNode, PeerChain
+from repro.p2p.chain import PeerChain
 from repro.p2p.messages import (
     AbortMessage,
     DisconnectNotice,
@@ -29,7 +29,6 @@ from repro.p2p.streams import SiblingStream, StreamData, open_stream
 from repro.p2p.sharding import PlacementDirectory, ShardCoordinator, ShardRing
 
 __all__ = [
-    "ChainNode",
     "PeerChain",
     "AbortMessage",
     "DisconnectNotice",

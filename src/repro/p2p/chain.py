@@ -9,123 +9,101 @@ every invocation so that *any* peer detecting a disconnection can route
 around it: children find their grandparent or the closest super peer,
 parents find the orphaned descendants, siblings find everybody.
 
+A peer appears at most once in a transaction's tree, so the tree is
+kept as peer-keyed maps: ``_parent`` (peer → parent, ``None`` for the
+root), ``_children`` (peer → children in invocation order) and the set
+``_super`` of super peers.  Relations are dict lookups (ancestors
+follow ``_parent``); only :meth:`PeerChain.peers`,
+:meth:`PeerChain.descendants_of` and :meth:`PeerChain.to_text` walk
+``_children``, in preorder.
+
 The chain travels as a structure: the sender piggybacks a
 :meth:`PeerChain.copy` snapshot on each invocation and result, and a
 receiver that keeps the carried chain copies it again, so no two peers
-ever share a node tree.  :meth:`PeerChain.to_text` renders the paper's
+ever share the maps.  :meth:`PeerChain.to_text` renders the paper's
 bracket notation (we write ``->`` for the arrow, super peers carry the
 ``*`` suffix) for display and size accounting; nothing parses it back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import P2PError
-
-
-@dataclass
-class ChainNode:
-    """One peer in the invocation tree."""
-
-    peer_id: str
-    super_peer: bool = False
-    children: List["ChainNode"] = field(default_factory=list)
-    parent: Optional["ChainNode"] = None
-
-    def add_child(self, peer_id: str, super_peer: bool = False) -> "ChainNode":
-        child = ChainNode(peer_id, super_peer, parent=self)
-        self.children.append(child)
-        return child
-
-    def iter(self) -> Iterator["ChainNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter()
-
-    @property
-    def label(self) -> str:
-        return f"{self.peer_id}*" if self.super_peer else self.peer_id
 
 
 class PeerChain:
     """The active-peer list of one transaction."""
 
     def __init__(self, root_peer: str, root_super: bool = False):
-        self.root = ChainNode(root_peer, root_super)
+        self.root = root_peer
+        self._parent: Dict[str, Optional[str]] = {root_peer: None}
+        self._children: Dict[str, List[str]] = {root_peer: []}
+        self._super: Set[str] = {root_peer} if root_super else set()
 
     # -- construction -----------------------------------------------------
 
     def add_invocation(
         self, parent_peer: str, child_peer: str, child_super: bool = False
-    ) -> ChainNode:
+    ) -> None:
         """Record that *parent_peer* invoked a service on *child_peer*."""
-        parent = self.find(parent_peer)
-        if parent is None:
+        if parent_peer not in self._parent:
             raise P2PError(f"peer {parent_peer!r} is not in the chain")
-        return parent.add_child(child_peer, child_super)
+        if child_peer in self._parent:
+            raise P2PError(f"peer {child_peer!r} is already in the chain")
+        self._parent[child_peer] = parent_peer
+        self._children[child_peer] = []
+        self._children[parent_peer].append(child_peer)
+        if child_super:
+            self._super.add(child_peer)
 
     # -- lookup --------------------------------------------------------------
 
-    def find(self, peer_id: str) -> Optional[ChainNode]:
-        for node in self.root.iter():
-            if node.peer_id == peer_id:
-                return node
-        return None
+    def __len__(self) -> int:
+        return len(self._parent)
 
     def contains(self, peer_id: str) -> bool:
-        return self.find(peer_id) is not None
+        return peer_id in self._parent
+
+    def is_super(self, peer_id: str) -> bool:
+        return peer_id in self._super
 
     def parent_of(self, peer_id: str) -> Optional[str]:
-        node = self.find(peer_id)
-        if node is None or node.parent is None:
-            return None
-        return node.parent.peer_id
+        return self._parent.get(peer_id)
 
     def children_of(self, peer_id: str) -> List[str]:
-        node = self.find(peer_id)
-        if node is None:
-            return []
-        return [c.peer_id for c in node.children]
+        return list(self._children.get(peer_id, ()))
 
     def siblings_of(self, peer_id: str) -> List[str]:
         """Other children of the same parent (§3.3d's data-passing peers)."""
-        node = self.find(peer_id)
-        if node is None or node.parent is None:
+        parent = self._parent.get(peer_id)
+        if parent is None:
             return []
-        return [c.peer_id for c in node.parent.children if c.peer_id != peer_id]
+        return [c for c in self._children[parent] if c != peer_id]
 
     def descendants_of(self, peer_id: str) -> List[str]:
-        node = self.find(peer_id)
-        if node is None:
+        if peer_id not in self._children:
             return []
-        return [n.peer_id for n in node.iter() if n.peer_id != peer_id]
+        return self._preorder(peer_id)[1:]
 
     def ancestors_of(self, peer_id: str) -> List[str]:
         """Ancestors nearest-first — the fallback order of §3.3(b):
         "AP6 can try the next closest peer (AP1) or the closest super
         peer … in the list"."""
-        node = self.find(peer_id)
         out: List[str] = []
-        if node is None:
-            return out
-        current = node.parent
+        current = self._parent.get(peer_id)
         while current is not None:
-            out.append(current.peer_id)
-            current = current.parent
+            out.append(current)
+            current = self._parent[current]
         return out
 
     def closest_super_peer(self, peer_id: str) -> Optional[str]:
         """Nearest super-peer ancestor of *peer_id* (or None)."""
-        node = self.find(peer_id)
-        if node is None:
-            return None
-        current = node.parent
+        current = self._parent.get(peer_id)
         while current is not None:
-            if current.super_peer:
-                return current.peer_id
-            current = current.parent
+            if current in self._super:
+                return current
+            current = self._parent[current]
         return None
 
     # -- extended relations (the conclusion's future-work chaining) ---------
@@ -138,16 +116,16 @@ class PeerChain:
         exploring the feasibility of extending the same to uncles,
         cousins, etc." — implemented here as an optional scope.
         """
-        node = self.find(peer_id)
-        if node is None or node.parent is None:
+        parent = self._parent.get(peer_id)
+        if parent is None:
             return []
-        return self.siblings_of(node.parent.peer_id)
+        return self.siblings_of(parent)
 
     def cousins_of(self, peer_id: str) -> List[str]:
         """Children of the peer's uncles."""
         out: List[str] = []
         for uncle in self.uncles_of(peer_id):
-            out.extend(self.children_of(uncle))
+            out.extend(self._children[uncle])
         return out
 
     def relatives_of(self, peer_id: str, scope: str = "immediate") -> List[str]:
@@ -181,7 +159,16 @@ class PeerChain:
         return out
 
     def peers(self) -> List[str]:
-        return [n.peer_id for n in self.root.iter()]
+        return self._preorder(self.root)
+
+    def _preorder(self, peer_id: str) -> List[str]:
+        out: List[str] = []
+        stack = [peer_id]
+        while stack:
+            current = stack.pop()
+            out.append(current)
+            stack.extend(reversed(self._children[current]))
+        return out
 
     # -- failover rewrite (§3.3 around a dead primary) ----------------------
 
@@ -198,37 +185,61 @@ class PeerChain:
         the existing node.  Returns False when *old_peer* is not in the
         chain (nothing to rewrite).
         """
-        node = self.find(old_peer)
-        if node is None or old_peer == new_peer:
+        if old_peer not in self._parent or old_peer == new_peer:
             return False
-        existing = self.find(new_peer)
-        if existing is None:
-            node.peer_id = new_peer
-            node.super_peer = super_peer
+        parent = self._parent[old_peer]
+        children = self._children[old_peer]
+        if new_peer not in self._parent:
+            self._forget(old_peer)
+            self._parent[new_peer] = parent
+            self._children[new_peer] = children
+            for child in children:
+                self._parent[child] = new_peer
+            if parent is None:
+                self.root = new_peer
+            else:
+                siblings = self._children[parent]
+                siblings[siblings.index(old_peer)] = new_peer
+            if super_peer:
+                self._super.add(new_peer)
             return True
-        if node.parent is None:
+        if parent is None:
             # The root (origin) cannot be spliced out; leave it alone.
             return False
-        for child in node.children:
-            child.parent = existing
-            existing.children.append(child)
-        node.children = []
-        node.parent.children.remove(node)
-        node.parent = None
+        self._children[parent].remove(old_peer)
+        if old_peer in self.ancestors_of(new_peer):
+            # Known defect, pinned by tests/test_p2p_chain.py::
+            # test_substitute_keeps_a_replacement_that_sat_below_the_dead_peer:
+            # a replacement below the dead peer is dropped together with
+            # the dead peer's whole subtree instead of taking its slot.
+            for peer in self._preorder(old_peer):
+                self._forget(peer)
+            return True
+        self._children[new_peer].extend(children)
+        for child in children:
+            self._parent[child] = new_peer
+        self._forget(old_peer)
         return True
+
+    def _forget(self, peer_id: str) -> None:
+        del self._parent[peer_id]
+        del self._children[peer_id]
+        self._super.discard(peer_id)
 
     # -- the paper's notation, snapshots and merging ---------------------------
 
     def to_text(self) -> str:
         return f"[{self._format(self.root)}]"
 
-    def _format(self, node: ChainNode) -> str:
-        if not node.children:
-            return node.label
-        if len(node.children) == 1:
-            return f"{node.label} -> {self._format(node.children[0])}"
-        parts = " || ".join(f"[{self._format(c)}]" for c in node.children)
-        return f"{node.label} -> {parts}"
+    def _format(self, peer_id: str) -> str:
+        label = f"{peer_id}*" if peer_id in self._super else peer_id
+        children = self._children[peer_id]
+        if not children:
+            return label
+        if len(children) == 1:
+            return f"{label} -> {self._format(children[0])}"
+        parts = " || ".join(f"[{self._format(c)}]" for c in children)
+        return f"{label} -> {parts}"
 
     def merge(self, other: "PeerChain") -> int:
         """Fold *other*'s edges into this chain; returns edges added.
@@ -241,31 +252,24 @@ class PeerChain:
         added = 0
         # Breadth-first so parents are inserted before their children.
         pending = [other.root]
-        while pending:
-            node = pending.pop(0)
-            for child in node.children:
+        for parent in pending:
+            for child in other._children[parent]:
                 pending.append(child)
-                if self.contains(child.peer_id) or not self.contains(node.peer_id):
+                if child in self._parent or parent not in self._parent:
                     continue
-                self.add_invocation(node.peer_id, child.peer_id, child.super_peer)
+                self.add_invocation(parent, child, child in other._super)
                 added += 1
         return added
 
     def copy(self) -> "PeerChain":
-        """Independent deep copy of the chain: the snapshot piggybacked
-        on every invocation and result."""
+        """Independent copy of the chain: the snapshot piggybacked on
+        every invocation and result."""
         chain = PeerChain.__new__(PeerChain)
-        chain.root = _copy_chain_node(self.root, None)
+        chain.root = self.root
+        chain._parent = dict(self._parent)
+        chain._children = {peer: list(c) for peer, c in self._children.items()}
+        chain._super = set(self._super)
         return chain
 
     def __repr__(self) -> str:
         return f"PeerChain({self.to_text()})"
-
-
-def _copy_chain_node(
-    node: ChainNode, parent: Optional[ChainNode]
-) -> ChainNode:
-    copy = ChainNode(node.peer_id, node.super_peer, parent=parent)
-    copy.children = [_copy_chain_node(child, copy) for child in node.children]
-    return copy
-

@@ -301,7 +301,8 @@ class AXMLPeer:
         """
         transaction = Transaction.begin(self.peer_id)
         self.manager.begin(transaction)
-        self.chains[transaction.txn_id] = PeerChain(self.peer_id, self.super_peer)
+        if self.chaining:
+            self.chains[transaction.txn_id] = PeerChain(self.peer_id, self.super_peer)
         # The transaction span is the detached root of this txn's span
         # tree; invocations outside any open span attach themselves here.
         self._txn_spans[transaction.txn_id] = self.network.spans.start(
@@ -402,7 +403,7 @@ class AXMLPeer:
         try:
             edge = context.record_invocation(target_peer, method_name)
             chain = self.chains.get(txn_id)
-            if chain is not None and self.chaining and not chain.contains(target_peer):
+            if chain is not None and not chain.contains(target_peer):
                 chain.add_invocation(
                     self.peer_id, target_peer, self._peer_is_super(target_peer)
                 )
@@ -421,7 +422,7 @@ class AXMLPeer:
                 sender=self.peer_id,
                 method_name=method_name,
                 params=params,
-                chain=chain.copy() if (chain is not None and self.chaining) else None,
+                chain=chain.copy() if chain is not None else None,
                 reused_fragments=reuse,
             )
             self.network.metrics.record_invocation()
@@ -454,12 +455,12 @@ class AXMLPeer:
             edge.completed = True
             for provider, plan_xml in result.compensations:
                 context.record_compensation_definition(provider, plan_xml)
-            if result.chain is not None and chain is not None and self.chaining:
-                # Fold the callee's deeper invocations into our view so later
-                # siblings receive the complete active-peer list (§3.3).
-                chain.merge(result.chain)
-            if chain is not None and self.chaining:
-                self.network.metrics.record_value("chain_length", len(chain.peers()))
+            if chain is not None:
+                if result.chain is not None:
+                    # Fold the callee's deeper invocations into our view so
+                    # later siblings receive the complete active-peer list.
+                    chain.merge(result.chain)
+                self.network.metrics.record_value("chain_length", len(chain))
             self.network.metrics.record_forward_cost(result.nodes_affected)
             return result.fragments
         except BaseException as exc:
@@ -490,10 +491,7 @@ class AXMLPeer:
         try:
             self._commit_local_and_ship(txn_id)
         except ValidationConflict:
-            chain = self.chains.get(txn_id)
-            for peer_id in (
-                [p for p in chain.peers() if p != self.peer_id] if chain else []
-            ):
+            for peer_id in self._chain_participants(txn_id):
                 self.network.notify(
                     self.peer_id, peer_id, AbortMessage(txn_id, self.peer_id)
                 )
@@ -502,11 +500,7 @@ class AXMLPeer:
             self.network.metrics.record_txn_outcome(txn_id, "aborted_conflict")
             self._end_txn_span(txn_id, "conflict")
             raise
-        chain = self.chains.get(txn_id)
-        participants = (
-            [p for p in chain.peers() if p != self.peer_id] if chain else []
-        )
-        for peer_id in participants:
+        for peer_id in self._chain_participants(txn_id):
             self.network.notify(
                 self.peer_id, peer_id, CommitMessage(txn_id, self.peer_id)
             )
@@ -564,12 +558,14 @@ class AXMLPeer:
         return complete
 
     def _participants_all_reached(self, txn_id: str) -> bool:
+        return all(self.network.is_alive(p) for p in self._chain_participants(txn_id))
+
+    def _chain_participants(self, txn_id: str) -> List[str]:
+        """Every other peer in this peer's chain view of *txn_id*."""
         chain = self.chains.get(txn_id)
         if chain is None:
-            return True
-        return all(
-            self.network.is_alive(p) for p in chain.peers() if p != self.peer_id
-        )
+            return []
+        return [p for p in chain.peers() if p != self.peer_id]
 
     def _apply_peer_independent(self, context: TransactionContext) -> bool:
         """Send compensating definitions to providers (newest first)."""
@@ -643,7 +639,7 @@ class AXMLPeer:
         context = self.manager.begin(
             transaction, parent_peer=request.sender, service_name=request.method_name
         )
-        if request.chain is not None:
+        if request.chain is not None and self.chaining:
             # Keep a private copy: the carried snapshot belongs to the message.
             self.chains[request.txn_id] = request.chain.copy()
         for method, fragments in request.reused_fragments.items():
@@ -702,7 +698,7 @@ class AXMLPeer:
                 provider_peer=self.peer_id,
                 compensations=compensations,
                 nodes_affected=response.nodes_affected,
-                chain=my_chain.copy() if (my_chain and self.chaining) else None,
+                chain=my_chain.copy() if my_chain is not None else None,
             )
             replication = self.network.replication
             if replication is not None and replication.is_replicated_method(
@@ -812,7 +808,7 @@ class AXMLPeer:
                 sender=self.peer_id,
                 method_name=method,
                 params=p,
-                chain=chain.copy() if (chain and self.chaining) else None,
+                chain=chain.copy() if chain is not None else None,
                 reused_fragments=reuse,
             )
             self.network.metrics.record_invocation()
@@ -855,13 +851,12 @@ class AXMLPeer:
             # owns the share — including when the dead peer was an
             # interior node (its subtree re-parents onto the replica).
             chain = self.chains.get(txn_id)
-            if chain is not None and self.chaining:
-                if chain.substitute(
-                    target_peer,
-                    decision.alternative_used,
-                    self._peer_is_super(decision.alternative_used),
-                ):
-                    self.network.metrics.incr("chains_rewritten")
+            if chain is not None and chain.substitute(
+                target_peer,
+                decision.alternative_used,
+                self._peer_is_super(decision.alternative_used),
+            ):
+                self.network.metrics.incr("chains_rewritten")
         return decision
 
     def _partial_backward_recover(
@@ -978,7 +973,7 @@ class AXMLPeer:
         txn_id = request.txn_id
         self.known_doomed.add(txn_id)
         chain = self.chains.get(txn_id)
-        if not self.chaining or chain is None:
+        if chain is None:
             self._discard_own_work(txn_id)
             return
         dead_parent = request.sender
@@ -1048,7 +1043,7 @@ class AXMLPeer:
     def _on_child_death(self, txn_id: str, dead_child: str) -> None:
         self.known_doomed.add(txn_id)
         chain = self.chains.get(txn_id)
-        if chain is None or not self.chaining:
+        if chain is None:
             return
         notice = DisconnectNotice(
             txn_id, dead_child, self.peer_id, self.network.clock.now
@@ -1076,7 +1071,7 @@ class AXMLPeer:
         if self.network.ping(self.peer_id, silent_sibling):
             return  # false alarm: the stream was merely late
         chain = self.chains.get(txn_id)
-        if chain is None or not self.chaining:
+        if chain is None:
             return
         notice = DisconnectNotice(
             txn_id, silent_sibling, self.peer_id, self.network.clock.now

@@ -519,8 +519,7 @@ class ShardCoordinator:
                     and not source_peer.manager.contexts[txn_id].is_finished
                 ):
                     continue
-                chain = chains[txn_id]
-                if chain.contains(migration.source) and chain.substitute(
+                if chains[txn_id].substitute(
                     migration.source, migration.target, target_super
                 ):
                     self.network.metrics.incr("chains_rewritten")

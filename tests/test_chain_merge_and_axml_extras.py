@@ -45,7 +45,8 @@ class TestChainMerge:
         theirs = build("A", ("A", "B"), ("B", "C", True))
         assert theirs.to_text() == "[A -> B -> C*]"
         mine.merge(theirs)
-        assert mine.find("C").super_peer
+        assert mine.is_super("C")
+        assert not mine.is_super("B")
 
     def test_merge_partial_overlap(self):
         mine = build("A", ("A", "B"), ("A", "C"))

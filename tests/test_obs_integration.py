@@ -155,4 +155,5 @@ class TestLiveRunExport:
         data = json.loads(table.to_json())
         assert data["rows"][0]["detect_s"] is None
         path = table.write_json(str(tmp_path / "table.json"))
-        assert json.loads(open(path).read())["title"] == "t"
+        with open(path) as fh:
+            assert json.load(fh)["title"] == "t"

@@ -36,8 +36,12 @@ def paper_chain() -> PeerChain:
 
 def shape(chain: PeerChain):
     """The tree as nested ``(peer_id, super_peer, children)`` tuples."""
-    def node_shape(node):
-        return (node.peer_id, node.super_peer, [node_shape(c) for c in node.children])
+    def node_shape(peer):
+        return (
+            peer,
+            chain.is_super(peer),
+            [node_shape(c) for c in chain.children_of(peer)],
+        )
 
     return node_shape(chain.root)
 
@@ -55,6 +59,12 @@ class TestConstruction:
     def test_unknown_parent_rejected(self):
         with pytest.raises(P2PError):
             PeerChain("A").add_invocation("ghost", "B")
+
+    def test_second_invocation_of_a_peer_rejected(self):
+        chain = build("A", ("A", "B"), ("B", "C"))
+        with pytest.raises(P2PError):
+            chain.add_invocation("A", "C")
+        assert chain.to_text() == "[A -> B -> C]"
 
     def test_peers(self):
         assert paper_chain().peers() == ["AP1", "AP2", "AP3", "AP6", "AP4", "AP5"]
@@ -106,7 +116,7 @@ class TestSerialization:
         restored = chain.copy()
         assert restored.to_text() == chain.to_text() == PAPER_CHAIN
         assert restored.parent_of("AP6") == "AP3"
-        assert restored.find("AP1").super_peer
+        assert restored.is_super("AP1")
 
     def test_roundtrip_single(self):
         assert PeerChain("A").copy().to_text() == "[A]"
@@ -114,7 +124,7 @@ class TestSerialization:
     def test_super_flag_roundtrip(self):
         chain = build("A", ("A", "B", True), root_super=True)
         restored = chain.copy()
-        assert restored.find("B").super_peer
+        assert restored.is_super("B")
         assert restored.to_text() == "[A* -> B*]"
 
     def test_copy_is_independent(self):
@@ -128,10 +138,17 @@ class TestSerialization:
         chain = paper_chain()
         structural = chain.copy()
         assert shape(structural) == shape(chain)
-        assert structural.root.parent is None
-        for copied, original in zip(structural.root.iter(), chain.root.iter()):
-            assert copied is not original
-            assert all(child.parent is copied for child in copied.children)
+        assert structural.parent_of(structural.root) is None
+        assert structural.peers() == chain.peers()
+        for peer in structural.peers():
+            assert all(
+                structural.parent_of(child) == peer
+                for child in structural.children_of(peer)
+            )
+        # No child list is shared: growing one side leaves the other.
+        for peer in chain.peers():
+            structural.add_invocation(peer, f"{peer}-new")
+            assert chain.children_of(peer) == structural.children_of(peer)[:-1]
 
     def test_deep_parallel_roundtrip(self):
         chain = build(
@@ -148,8 +165,8 @@ class TestSerialization:
         chain = build("AP1", ("AP1", "AP2:x"), ("AP2:x", "C*"), root_super=True)
         restored = chain.copy()
         assert restored.peers() == ["AP1", "AP2:x", "C*"]
-        assert not restored.find("C*").super_peer
-        assert restored.find("C") is None
+        assert not restored.is_super("C*")
+        assert not restored.contains("C")
 
 
 class TestCarriedChain:
@@ -183,7 +200,7 @@ class TestCarriedChain:
         origin.invoke(txn.txn_id, "C*", "mark", {})
         view = worker.chains[txn.txn_id]
         assert view.peers() == ["Origin", "C*"]
-        assert not view.find("C*").super_peer
+        assert not view.is_super("C*")
         assert view.closest_super_peer("C*") == "Origin"
 
     def _siblings(self):
@@ -208,3 +225,77 @@ class TestCarriedChain:
         cluster.peer("AP2").chains[txn_id].add_invocation("AP2", "AP8")
         assert not cluster.peer("AP1").chains[txn_id].contains("AP8")
         assert not cluster.peer("AP3").chains[txn_id].contains("AP8")
+
+
+class TestSubstitute:
+    """§3.3 rewrite around a dead peer (replica failover, shard moves)."""
+
+    def test_fresh_peer_takes_the_slot(self):
+        chain = build("A", ("A", "B"), ("A", "X"), ("B", "C"), ("B", "D"))
+        assert chain.substitute("B", "R", True)
+        assert chain.to_text() == "[A -> [R* -> [C] || [D]] || [X]]"
+        assert not chain.contains("B")
+        assert chain.parent_of("C") == "R"
+
+    def test_fresh_peer_takes_the_root(self):
+        chain = build("A", ("A", "B"), root_super=True)
+        assert chain.substitute("A", "R")
+        assert chain.root == "R"
+        assert chain.to_text() == "[R -> B]"
+        assert chain.ancestors_of("B") == ["R"]
+
+    def test_existing_peer_adopts_the_orphans(self):
+        chain = build("A", ("A", "B"), ("A", "X"), ("B", "C"), ("X", "Y"))
+        assert chain.substitute("B", "X", True)
+        assert chain.to_text() == "[A -> X -> [Y] || [C]]"
+        assert not chain.is_super("X")  # an existing peer keeps its flag
+        assert len(chain) == 4
+
+    def test_existing_ancestor_adopts_the_orphans(self):
+        chain = build("A", ("A", "B"), ("B", "C"), ("B", "D"))
+        assert chain.substitute("B", "A")
+        assert chain.children_of("A") == ["C", "D"]
+
+    def test_nothing_to_rewrite(self):
+        chain = build("A", ("A", "B"))
+        assert not chain.substitute("ghost", "R")
+        assert not chain.substitute("B", "B")
+        assert not chain.substitute("A", "B")  # the root is never spliced out
+        assert chain.to_text() == "[A -> B]"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="substitute drops the dead peer's whole subtree when the "
+        "replacement sits below it",
+    )
+    def test_substitute_keeps_a_replacement_that_sat_below_the_dead_peer(self):
+        chain = build("A", ("A", "B"), ("B", "C"), ("C", "D"))
+        assert chain.substitute("B", "C")
+        assert chain.peers() == ["A", "C", "D"]
+        assert chain.parent_of("C") == "A"
+        assert chain.children_of("C") == ["D"]
+
+
+class TestChainingOff:
+    """The naive baseline (``chaining=False``) carries no chain at all."""
+
+    def test_no_peer_keeps_a_chain(self):
+        cluster = Cluster.fig1(chaining=False)
+        txn, error = cluster.run_topology()
+        assert error is None
+        assert all(not peer.chains for peer in cluster.peers.values())
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the origin takes its commit participants from the chain, "
+        "which the naive baseline does not keep",
+    )
+    def test_naive_commit_reaches_every_participant(self):
+        cluster = Cluster.fig1(chaining=False)
+        txn, error = cluster.run_topology()
+        assert error is None
+        cluster.peer("AP1").commit(txn.txn_id)
+        assert cluster.network.metrics.get("messages.commit") == 5
+        for peer_id in ("AP2", "AP3", "AP4", "AP5", "AP6"):
+            context = cluster.peer(peer_id).manager.context(txn.txn_id)
+            assert context.is_finished, peer_id

@@ -3,7 +3,8 @@
 * XML serialize ∘ parse is the identity on trees;
 * dynamic compensation restores the canonical pre-state for arbitrary
   operation sequences — the paper's central correctness claim;
-* peer chains round-trip through the bracket notation;
+* peer chains stay well-formed trees, with independent copies, under
+  random add/merge/substitute/copy sequences;
 * the operation log's undo order is the reverse of execution order.
 """
 
@@ -199,6 +200,66 @@ class TestChainProperty:
                 current = chain.parent_of(current)
                 walked.append(current)
             assert walked == ancestors
+
+
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_random_operations_keep_a_consistent_tree(self, seed, steps):
+        rng = SeededRng(seed)
+        fresh = iter(f"AP{index}" for index in range(2, 10_000))
+        chain = PeerChain("AP1", root_super=rng.coin(0.5))
+        copies = []  # (copy, its notation when taken)
+        for _ in range(steps):
+            op = rng.choice(["add", "merge", "substitute", "copy"])
+            if op == "add":
+                chain.add_invocation(
+                    rng.choice(chain.peers()), next(fresh), rng.coin(0.3)
+                )
+            elif op == "merge":
+                # A callee's view: an older snapshot grown further.
+                other = rng.choice(copies)[0].copy() if copies else chain.copy()
+                for _ in range(rng.randint(1, 3)):
+                    other.add_invocation(
+                        rng.choice(other.peers()), next(fresh), rng.coin(0.3)
+                    )
+                chain.merge(other)
+                assert chain.merge(other) == 0
+            elif op == "substitute":
+                new_peer = (
+                    rng.choice(chain.peers()) if rng.coin(0.5) else next(fresh)
+                )
+                chain.substitute(
+                    rng.choice(chain.peers()), new_peer, rng.coin(0.3)
+                )
+            else:
+                copy = chain.copy()
+                copies.append((copy, copy.to_text()))
+                # Growing the copy leaves the original alone.
+                probe = next(fresh)
+                chain.copy().add_invocation(chain.root, probe)
+                assert not chain.contains(probe)
+            _assert_consistent(chain)
+            assert chain.merge(chain.copy()) == 0
+            for copy, text in copies:
+                assert copy.to_text() == text
+
+
+def _assert_consistent(chain: PeerChain) -> None:
+    """``peers()`` is the preorder of ``children_of``, and ``parent_of``
+    is its inverse."""
+
+    def walk(peer):
+        out = [peer]
+        for child in chain.children_of(peer):
+            assert chain.parent_of(child) == peer
+            out.extend(walk(child))
+        return out
+
+    assert chain.parent_of(chain.root) is None
+    assert chain.peers() == walk(chain.root)
+    assert len(chain) == len(chain.peers())
+    for peer in chain.peers()[1:]:
+        assert peer in chain.children_of(chain.parent_of(peer))
 
 
 class TestLogProperty:

@@ -164,5 +164,5 @@ class TestFig2Chain:
         s = Cluster.fig2()
         txn, _ = s.run_topology()
         chain = s.peer("AP5").chains[txn.txn_id]
-        assert chain.find("AP1").super_peer
-        assert not chain.find("AP2").super_peer
+        assert chain.is_super("AP1")
+        assert not chain.is_super("AP2")
